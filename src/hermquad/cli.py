@@ -22,38 +22,23 @@ from .expressions import (
     EvalDomainError,
     ParseError,
     derivative_function,
+    evaluator,
     jet_provider,
     parse,
 )
 from .kernel import RootIsolationError, kernel_set
 from .oracle import ConvergenceError, OracleConfig, reference_integrate
 from .quadrature import (
+    ErrorReport,
     Partition,
-    e2_bound_f3,
-    e2_classical_f4,
+    error_exact,
     integrate_composite,
     integrate_single,
     observed_orders,
     refined_bounds,
-    sample_uniform,
 )
 from .verify import run_checks
 from .weights import compute_weights
-
-CSV_COLUMNS = (
-    "n",
-    "m",
-    "h",
-    "quadrature",
-    "reference",
-    "error",
-    "observed_order",
-    "bound_uniform",
-    "bound_l2",
-)
-
-_BOUND_SAMPLES = 257
-
 
 class _UsageError(ValueError):
     pass
@@ -96,11 +81,11 @@ def _oracle_config(tol: float) -> OracleConfig:
     return OracleConfig(abs_tol=tol, rel_tol=tol)
 
 
-def _emit_csv(rows):
+def _emit_csv(reports):
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(["" if row.get(c) is None else row[c] for c in CSV_COLUMNS])
+    writer.writerow(ErrorReport.CSV_COLUMNS)
+    for report in reports:
+        writer.writerow(report.csv_cells())
 
 
 def _fmt(value) -> str:
@@ -155,160 +140,113 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _single_row(args, with_bounds: bool):
+def _float_path_inputs(args):
+    """Interval, parsed integrand and reference settings of a --fn subcommand."""
     a = _parse_endpoint(args.a, allow_pi=True)
     b = _parse_endpoint(args.b, allow_pi=True)
     if a >= b:
         raise _UsageError("endpoints must satisfy a < b")
-    expr = parse(args.fn)
-    cfg = _oracle_config(args.tol)
-    value = float(integrate_single(jet_provider(expr), args.n, a, b))
-    reference = reference_integrate(
-        lambda x: _eval_expr(expr, x), float(a), float(b), cfg
-    )
+    return a, b, parse(args.fn), _oracle_config(args.tol)
+
+
+def _cmd_single(args) -> int:
+    """``integrate`` and ``bounds``: one interval, one ErrorReport."""
+    a, b, expr, cfg = _float_path_inputs(args)
+    n = args.n
+    order = None
+    if args.command == "bounds":
+        order = n if args.bound_order is None else args.bound_order
+        if not n <= order <= 2 * n:
+            raise _UsageError(
+                f"--bound-order {order} is not available for n = {n}; "
+                f"use {n}..{2 * n}"
+            )
+    value = float(integrate_single(jet_provider(expr), n, a, b))
+    reference = reference_integrate(evaluator(expr), float(a), float(b), cfg)
     if not reference.converged:
         raise ConvergenceError("reference integral did not converge", reference)
-    row = {
-        "n": args.n,
-        "m": 1,
-        "h": float(b - a),
-        "quadrature": value,
-        "reference": reference.value,
-        "error": value - reference.value,
-        "observed_order": None,
-        "bound_uniform": None,
-        "bound_l2": None,
-    }
-    extras = {"reference_err_estimate": reference.err_estimate, "fn": args.fn}
-    if with_bounds:
-        order = args.bound_order if args.bound_order is not None else args.n
-        if order != args.n and not (args.n == 2 and order in (3, 4)):
-            raise _UsageError(
-                f"--bound-order {order} is not available for n = {args.n}; "
-                "use the rule order, or 3/4 when n = 2"
-            )
-        ks = kernel_set(args.n, a, b)
-        if order == args.n:
-            uniform, l2, stable = refined_bounds(
-                derivative_function(expr, args.n), ks, _BOUND_SAMPLES
-            )
-            row["bound_uniform"] = uniform
-            row["bound_l2"] = l2
-            extras["bound_kind"] = "midrange"
-            extras["bound_stable"] = stable
-        elif order == 3:
-            samples = sample_uniform(derivative_function(expr, 3), a, b, _BOUND_SAMPLES)
-            pair = e2_bound_f3(samples, ks)
-            row["bound_uniform"] = pair.uniform
-            row["bound_l2"] = pair.l2
-            extras["bound_kind"] = "midrange"
+    bounds = {}
+    if order is not None:
+        ks = kernel_set(n, a, b)
+        f_deriv = derivative_function(expr, order)
+        if order < 2 * n:
+            uniform, l2, stable = refined_bounds(f_deriv, ks, k=order - n)
+            bounds = {"bound_uniform": uniform, "bound_l2": l2, "bound_stable": stable}
         else:
-            extras["error_via_f4"] = e2_classical_f4(
-                derivative_function(expr, 4), a, b, cfg
-            )
-            extras["bound_kind"] = "mean"
-        extras["derivative_order_used"] = order
-    return row, extras
-
-
-def _eval_expr(expr, x):
-    from .expressions import evaluator
-
-    return evaluator(expr)(x)
-
-
-def _print_single_text(row, extras):
-    print(f"f(x) = {extras['fn']} on an interval of width {_fmt(row['h'])}")
-    print(f"  quadrature (n={row['n']})   : {_fmt(row['quadrature'])}")
-    print(
-        f"  reference             : {_fmt(row['reference'])}"
-        f"   (err estimate {extras['reference_err_estimate']:.3g})"
+            error_via = error_exact(f_deriv, ks, cfg, k=n)
+            bounds = {"error_via_derivative": error_via, "bound_kind": "mean"}
+        bounds["derivative_order_used"] = order
+    report = ErrorReport(
+        quadrature_value=value,
+        reference_value=reference.value,
+        actual_error=value - reference.value,
+        n=n,
+        h=float(b - a),
+        fn=args.fn,
+        reference_err_estimate=reference.err_estimate,
+        **bounds,
     )
-    print(f"  error (quad - ref)    : {_fmt(row['error'])}")
-    if row["bound_uniform"] is not None:
-        print(f"  bound (uniform)       : {_fmt(row['bound_uniform'])}")
-    if row["bound_l2"] is not None:
-        print(f"  bound (L2)            : {_fmt(row['bound_l2'])}")
-    if "error_via_f4" in extras:
-        print(f"  error via f''''       : {_fmt(extras['error_via_f4'])}")
-
-
-def _cmd_integrate(args) -> int:
-    row, extras = _single_row(args, with_bounds=False)
     if args.format == "json":
-        doc = dict(row)
-        doc.update(extras)
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(report.to_json_dict(), indent=2))
     elif args.format == "csv":
-        _emit_csv([row])
+        _emit_csv([report])
     else:
-        _print_single_text(row, extras)
-    return 0
-
-
-def _cmd_bounds(args) -> int:
-    row, extras = _single_row(args, with_bounds=True)
-    if args.format == "json":
-        doc = dict(row)
-        doc.update(extras)
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        _emit_csv([row])
-    else:
-        _print_single_text(row, extras)
-        if not extras.get("bound_stable", True):
+        print(f"f(x) = {report.fn} on an interval of width {_fmt(report.h)}")
+        print(f"  quadrature (n={n})   : {_fmt(report.quadrature_value)}")
+        print(
+            f"  reference             : {_fmt(report.reference_value)}"
+            f"   (err estimate {report.reference_err_estimate:.3g})"
+        )
+        print(f"  error (quad - ref)    : {_fmt(report.actual_error)}")
+        if report.bound_uniform is not None:
+            print(f"  bound (uniform)       : {_fmt(report.bound_uniform)}")
+            print(f"  bound (L2)            : {_fmt(report.bound_l2)}")
+        if report.error_via_derivative is not None:
+            label = f"error via f^({order})"
+            print(f"  {label:<22}: {_fmt(report.error_via_derivative)}")
+        if report.bound_stable is False:
             print("  note: bound estimates changed by > 1% under grid refinement")
     return 0
 
 
 def _cmd_composite(args) -> int:
-    a = _parse_endpoint(args.a, allow_pi=True)
-    b = _parse_endpoint(args.b, allow_pi=True)
-    if a >= b:
-        raise _UsageError("endpoints must satisfy a < b")
-    expr = parse(args.fn)
-    cfg = _oracle_config(args.tol)
+    a, b, expr, cfg = _float_path_inputs(args)
     counts = _parse_panel_counts(args.m)
-    reference = reference_integrate(
-        lambda x: _eval_expr(expr, x), float(a), float(b), cfg
-    )
+    reference = reference_integrate(evaluator(expr), float(a), float(b), cfg)
     if not reference.converged:
         raise ConvergenceError("reference integral did not converge", reference)
     jets = jet_provider(expr)
-    rows = []
-    errors = []
-    for m in counts:
-        value = float(integrate_composite(jets, args.n, Partition.uniform(a, b, m)))
-        errors.append(abs(value - reference.value))
-        rows.append(
-            {
-                "n": args.n,
-                "m": m,
-                "h": float(b - a) / m,
-                "quadrature": value,
-                "reference": reference.value,
-                "error": value - reference.value,
-                "observed_order": None,
-                "bound_uniform": None,
-                "bound_l2": None,
-            }
+    values = [
+        float(integrate_composite(jets, args.n, Partition.uniform(a, b, m))) for m in counts
+    ]
+    orders = observed_orders([abs(value - reference.value) for value in values])
+    reports = [
+        ErrorReport(
+            quadrature_value=value,
+            reference_value=reference.value,
+            actual_error=value - reference.value,
+            n=args.n,
+            m=m,
+            h=float(b - a) / m,
+            observed_order=order,
         )
-    for row, order in zip(rows, observed_orders(errors)):
-        row["observed_order"] = order
+        for m, value, order in zip(counts, values, orders)
+    ]
     if args.format == "json":
+        rows = [report.to_json_dict() for report in reports]
         print(json.dumps({"fn": args.fn, "rows": rows}, indent=2))
     elif args.format == "csv":
-        _emit_csv(rows)
+        _emit_csv(reports)
     else:
         print(f"composite rule for f(x) = {args.fn}, n = {args.n}")
         print(f"  reference = {_fmt(reference.value)}")
         header = f"  {'m':>6} {'h':>12} {'quadrature':>22} {'error':>14} {'order':>7}"
         print(header)
-        for row in rows:
-            order = "-" if row["observed_order"] is None else f"{row['observed_order']:.3f}"
+        for report in reports:
+            order = "-" if report.observed_order is None else f"{report.observed_order:.3f}"
             print(
-                f"  {row['m']:>6} {row['h']:>12.6g} {row['quadrature']:>22.15g} "
-                f"{row['error']:>14.4g} {order:>7}"
+                f"  {report.m:>6} {report.h:>12.6g} {report.quadrature_value:>22.15g} "
+                f"{report.actual_error:>14.4g} {order:>7}"
             )
     return 0
 
@@ -333,7 +271,7 @@ def _cmd_demo(args) -> int:
     expr = parse("x^2*sin(x)")
     a, b = 0.0, math.pi
     reference = reference_integrate(
-        lambda x: _eval_expr(expr, x), a, b, OracleConfig(abs_tol=1e-13, rel_tol=1e-13)
+        evaluator(expr), a, b, OracleConfig(abs_tol=1e-13, rel_tol=1e-13)
     )
     jets = jet_provider(expr)
     trapezoid = float(integrate_single(jets, 1, a, b))
@@ -363,7 +301,8 @@ def _add_common(parser, with_fn=False, with_m=False, with_bound_order=False):
             "--bound-order",
             type=int,
             default=None,
-            help="derivative order feeding the bounds (default: the rule order; 3 or 4 allowed when n = 2)",
+            help="derivative order n..2n feeding the bounds (default: the rule order n; "
+            "2n reports the exact error through that derivative)",
         )
     parser.add_argument(
         "--format", choices=("json", "csv", "text"), default="text", help="output format"
@@ -389,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="single-interval quadrature vs reference")
     _add_common(p, with_fn=True)
-    p.set_defaults(func=_cmd_integrate)
+    p.set_defaults(func=_cmd_single)
 
     p = sub.add_parser("composite", help="composite quadrature error table")
     _add_common(p, with_fn=True, with_m=True)
@@ -397,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="error bounds from sampled derivatives")
     _add_common(p, with_fn=True, with_bound_order=True)
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_cmd_single)
 
     p = sub.add_parser("verify", help="exact identity checks for a given order")
     p.add_argument("--n", type=int, required=True, help="rule order")

@@ -193,14 +193,17 @@ class Polynomial:
         out = [self.coeffs[i] * math.perm(i, order) for i in range(order, len(self.coeffs))]
         return Polynomial(out)
 
+    def _raw_antiderivative(self) -> "Polynomial":
+        return Polynomial((0,) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
+
     def antiderivative(self, lower=0) -> "Polynomial":
         """The antiderivative that vanishes at ``lower``."""
-        raw = Polynomial((0,) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
+        raw = self._raw_antiderivative()
         return raw - raw(rational(lower))
 
     def integrate(self, a, b) -> Fraction:
         """Exact definite integral over [a, b]."""
-        raw = Polynomial((0,) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
+        raw = self._raw_antiderivative()
         return raw(rational(b)) - raw(rational(a))
 
     def compose_affine(self, offset, scale) -> "Polynomial":

@@ -85,6 +85,12 @@ class KernelSet:
     antiderivatives: tuple
     params: KernelParams
 
+    def member(self, k: int) -> Polynomial:
+        """K^(k): the kernel for k = 0, its k-th repeated integral for 1 <= k <= n."""
+        if not 0 <= k <= self.n:
+            raise ValueError(f"chain index must be in 0..{self.n}, got {k}")
+        return self.antiderivatives[k - 1] if k else self.kernel
+
     def l2sq(self) -> Fraction:
         return kernel_l2sq(self.kernel, self.a, self.b)
 

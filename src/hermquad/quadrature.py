@@ -5,22 +5,24 @@ sequence of f, f', ..., f^(m) at x``.  With rational nodes and rational
 jets everything stays exact; float inputs flow through as floats.
 
 The error of the order-n rule is E_n = integral((-1)^n f^(n) K_n), which
-needs only the n-th derivative of the integrand.  ``error_exact``
-evaluates it with the reference integrator.  The bound estimators replace
-f^(n) by its deviation from the midrange (uniform norm) or from the mean
-(L2 norm), paired with the kernel's exact norms; extrema and means come
-from sampling, so the bounds are estimates rather than rigorous
-enclosures.
+needs only the n-th derivative of the integrand.  Each member K^(k) of the
+kernel's antiderivative chain (``KernelSet.member``) vanishes at a and b
+for k <= n, so k integrations by parts give E_n = integral((-1)^(n+k)
+f^(n+k) K^(k)) for every k = 0..n.  ``error_exact`` evaluates it with the
+reference integrator.  The bound estimators replace f^(n+k) by its
+deviation from the midrange (uniform norm) or from the mean (L2 norm),
+paired with the exact norms of K^(k); extrema and means come from
+sampling, so the bounds are estimates rather than rigorous enclosures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .exactmath import rational
-from .kernel import KernelSet, kernel_abs_integral, kernel_l2sq
+from .kernel import KernelSet, kernel_abs_integral, kernel_l2sq, kernel_set
 from .oracle import ConvergenceError, OracleConfig, reference_integrate
 from .weights import apply_rule, compute_weights, omega_coeffs
 
@@ -76,9 +78,25 @@ class ErrorReport:
 
     ``actual_error`` is quadrature_value - reference_value.  Bounds are
     sampling-based estimates; ``derivative_order_used`` records which
-    derivative fed them (n for the generic bounds, 3 for the n = 2
-    third-derivative pair).
+    derivative f^(n+k) fed them (0: no bounds requested).  At order 2n,
+    ``error_via_derivative`` holds the exact error through that derivative
+    in place of bounds.  ``to_json_dict`` and ``csv_cells`` serialize the
+    record (docs/json-schemas.md).
     """
+
+    #: Serialized column name -> field, in CSV column order.
+    _COLUMN_FIELDS: ClassVar[dict] = {
+        "n": "n",
+        "m": "m",
+        "h": "h",
+        "quadrature": "quadrature_value",
+        "reference": "reference_value",
+        "error": "actual_error",
+        "observed_order": "observed_order",
+        "bound_uniform": "bound_uniform",
+        "bound_l2": "bound_l2",
+    }
+    CSV_COLUMNS: ClassVar[tuple] = tuple(_COLUMN_FIELDS)
 
     quadrature_value: float
     reference_value: float | None = None
@@ -87,6 +105,32 @@ class ErrorReport:
     bound_l2: float | None = None
     bound_kind: str = "midrange"
     derivative_order_used: int = 0
+    n: int | None = None
+    m: int = 1
+    h: float | None = None
+    observed_order: float | None = None
+    fn: str | None = None
+    reference_err_estimate: float | None = None
+    bound_stable: bool | None = None
+    error_via_derivative: float | None = None
+
+    def csv_cells(self) -> list:
+        """The ``CSV_COLUMNS`` values, empty where a value does not apply."""
+        values = (getattr(self, field) for field in self._COLUMN_FIELDS.values())
+        return ["" if value is None else value for value in values]
+
+    def to_json_dict(self) -> dict:
+        """The CSV columns (null where absent), then the extras that are set."""
+        doc = {column: getattr(self, field) for column, field in self._COLUMN_FIELDS.items()}
+        extras = {"reference_err_estimate": self.reference_err_estimate, "fn": self.fn}
+        order = self.derivative_order_used
+        if order:
+            extras["bound_kind"] = self.bound_kind
+            extras["bound_stable"] = self.bound_stable
+            extras[f"error_via_f{order}"] = self.error_via_derivative
+            extras["derivative_order_used"] = order
+        doc.update((key, value) for key, value in extras.items() if value is not None)
+        return doc
 
 
 class BoundPair(NamedTuple):
@@ -127,16 +171,20 @@ def integrate_composite(jets, n: int, partition: Partition):
     return total
 
 
-def error_exact(f_n, kernel: KernelSet, cfg: OracleConfig | None = None) -> float:
-    """The exact error integral E_n = integral((-1)^n f^(n)(x) K_n(x)).
+def error_exact(
+    f_n, kernel: KernelSet, cfg: OracleConfig | None = None, k: int = 0
+) -> float:
+    """The exact error integral E_n = integral((-1)^(n+k) f^(n+k)(x) K^(k)(x)).
 
     E_n is the signed defect of the rule: true integral = rule value + E_n.
-    ``f_n`` evaluates the n-th derivative.  Raises
+    ``f_n`` evaluates the (n+k)-th derivative.  Every 0 <= k <= n gives the
+    same E_n: each K^(j) with j <= n vanishes at a and b, so the k
+    integrations by parts leave no boundary terms.  Raises
     :class:`~hermquad.oracle.ConvergenceError` if the reference integrator
     cannot meet its tolerance.
     """
-    sign = -1.0 if kernel.n % 2 else 1.0
-    kern = kernel.kernel
+    sign = -1.0 if (kernel.n + k) % 2 else 1.0
+    kern = kernel.member(k)
     result = reference_integrate(
         lambda x: sign * f_n(x) * kern(x), float(kernel.a), float(kernel.b), cfg
     )
@@ -164,62 +212,58 @@ def _l2_deviation(samples, a: float, b: float) -> float:
     return math.sqrt(max(_trapezoid(squares, a, b), 0.0))
 
 
-def bound_uniform(f_n_samples, kernel: KernelSet, tol: float = 1e-12) -> float:
-    """|E_n| <= sup|f^(n) - midrange| * integral(|K_n|), from sampled extrema."""
-    return _spread_half(f_n_samples) * kernel.abs_integral(tol)
+def _bound_member(kernel: KernelSet, k: int):
+    if not 0 <= k < kernel.n:
+        raise ValueError(f"bounds need 0 <= k <= n-1 = {kernel.n - 1}, got k = {k}")
+    return kernel.member(k)
 
 
-def bound_l2(f_n_samples, kernel: KernelSet) -> float:
-    """|E_n| <= ||f^(n) - mean||_2 * ||K_n||_2, deviation norm by trapezoid.
+def bound_uniform(
+    f_n_samples, kernel: KernelSet, tol: float = 1e-12, k: int = 0
+) -> float:
+    """|E_n| <= sup|f^(n+k) - midrange| * integral(|K^(k)|), from sampled extrema.
+
+    Needs 0 <= k <= n-1: only then is integral(K^(k)) = K^(k+1)(b) -
+    K^(k+1)(a) = 0, so subtracting the midrange from f^(n+k) leaves the
+    error unchanged.
+    """
+    member = _bound_member(kernel, k)
+    return _spread_half(f_n_samples) * kernel_abs_integral(member, kernel.a, kernel.b, tol)
+
+
+def bound_l2(f_n_samples, kernel: KernelSet, k: int = 0) -> float:
+    """|E_n| <= ||f^(n+k) - mean||_2 * ||K^(k)||_2, deviation norm by trapezoid.
 
     Samples must lie on a uniform grid over [a, b] including both endpoints.
+    Needs 0 <= k <= n-1, as ``bound_uniform`` explains.
     """
+    member = _bound_member(kernel, k)
     a = float(kernel.a)
     b = float(kernel.b)
-    return _l2_deviation(f_n_samples, a, b) * math.sqrt(float(kernel.l2sq()))
+    return _l2_deviation(f_n_samples, a, b) * math.sqrt(
+        float(kernel_l2sq(member, kernel.a, kernel.b))
+    )
 
 
 def e2_bound_f3(f3_samples, kernel: KernelSet, tol: float = 1e-12) -> BoundPair:
-    """Third-derivative bounds for the n = 2 rule.
+    """Third-derivative bounds for the n = 2 rule: the k = 1 bounds.
 
-    One integration by parts moves the error onto G, the first
-    antiderivative of K_2 (G vanishes at both endpoints), giving
-
-        |E_2| <= sup|f''' - midrange| * integral(|G|)
-        |E_2| <= ||f''' - mean||_2 * ||G||_2
-
-    with integral(|G|) = (b-a)^4/192 and ||G||_2^2 = (b-a)^7/30240.
+    For G = K^(1), integral(|G|) = (b-a)^4/192 and ||G||_2^2 = (b-a)^7/30240.
     """
     if kernel.n != 2:
         raise ValueError("third-derivative bounds apply to the order-2 rule only")
-    g = kernel.antiderivatives[0]
-    a = float(kernel.a)
-    b = float(kernel.b)
-    uniform = _spread_half(f3_samples) * kernel_abs_integral(g, kernel.a, kernel.b, tol)
-    l2 = _l2_deviation(f3_samples, a, b) * math.sqrt(
-        float(kernel_l2sq(g, kernel.a, kernel.b))
+    return BoundPair(
+        bound_uniform(f3_samples, kernel, tol, k=1), bound_l2(f3_samples, kernel, k=1)
     )
-    return BoundPair(uniform, l2)
 
 
 def e2_classical_f4(f4, a, b, cfg: OracleConfig | None = None) -> float:
-    """E_2 through the fourth derivative: integral(f'''' * (x-a)^2 (x-b)^2 / 24).
+    """E_2 through the fourth derivative: ``error_exact`` with n = 2, k = 2.
 
-    The weight polynomial is nonnegative, so for constant f'''' = c this
-    equals c (b-a)^5 / 720.  Unlike the midrange/mean bounds this is an
-    exact representation, evaluated with the reference integrator.
+    The weight K^(2) = (x-a)^2 (x-b)^2 / 24 is nonnegative, so for constant
+    f'''' = c this equals c (b-a)^5 / 720.
     """
-    from .exactmath import Polynomial, X
-
-    a = rational(a)
-    b = rational(b)
-    if a >= b:
-        raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
-    weight: Polynomial = (X - a) ** 2 * (X - b) ** 2 / 24
-    result = reference_integrate(lambda x: f4(x) * weight(x), float(a), float(b), cfg)
-    if not result.converged:
-        raise ConvergenceError("fourth-derivative error integral did not converge", result)
-    return result.value
+    return error_exact(f4, kernel_set(2, a, b), cfg, k=2)
 
 
 def sample_uniform(f, a, b, count: int = 257) -> list:
@@ -232,18 +276,25 @@ def sample_uniform(f, a, b, count: int = 257) -> list:
     return [f(a + i * step) for i in range(count)]
 
 
-def refined_bounds(f_deriv, kernel: KernelSet, count: int = 257):
-    """Midrange/mean bounds with one sampling refinement pass.
+def refined_bounds(f_deriv, kernel: KernelSet, count: int = 257, k: int = 0):
+    """Midrange/mean bounds on f^(n+k) with one sampling refinement pass.
 
-    Computes both bounds on ``count`` samples, doubles the grid, and flags
-    the result stable when neither bound moved by more than 1%.  Returns
-    (uniform, l2, stable).
+    Samples f once on 2*count - 1 points, whose even points form the
+    ``count``-point grid, and pairs both grids with one evaluation of the
+    kernel norms.  The result is stable when neither bound moved by more
+    than 1%.  Returns (uniform, l2, stable) of the finer grid.  Needs
+    0 <= k <= n-1, as ``bound_uniform`` explains.
     """
-    a, b = kernel.a, kernel.b
-    coarse = sample_uniform(f_deriv, a, b, count)
+    member = _bound_member(kernel, k)
+    abs_integral = kernel_abs_integral(member, kernel.a, kernel.b)
+    l2_norm = math.sqrt(float(kernel_l2sq(member, kernel.a, kernel.b)))
+    a = float(kernel.a)
+    b = float(kernel.b)
     fine = sample_uniform(f_deriv, a, b, 2 * count - 1)
-    coarse_pair = BoundPair(bound_uniform(coarse, kernel), bound_l2(coarse, kernel))
-    fine_pair = BoundPair(bound_uniform(fine, kernel), bound_l2(fine, kernel))
+    coarse_pair, fine_pair = (
+        BoundPair(_spread_half(s) * abs_integral, _l2_deviation(s, a, b) * l2_norm)
+        for s in (fine[::2], fine)
+    )
     stable = all(
         abs(f - c) <= 0.01 * max(abs(f), 1e-300)
         for c, f in zip(coarse_pair, fine_pair)

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -173,13 +175,34 @@ class TestBoundsCommand:
         assert doc["error_via_f4"] == pytest.approx(-doc["error"], rel=1e-6)
 
     def test_bad_bound_order_exits_1(self, capsys):
-        code, _, err = run(
-            capsys,
-            "bounds", "--n", "3", "--a", "0", "--b", "1",
-            "--fn", "exp(x)", "--bound-order", "4",
-        )
-        assert code == 1
-        assert "bound-order" in err
+        for order in ("2", "7"):
+            code, _, err = run(
+                capsys,
+                "bounds", "--n", "3", "--a", "0", "--b", "1",
+                "--fn", "exp(x)", "--bound-order", order,
+            )
+            assert code == 1
+            assert "bound-order" in err
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_every_bound_order_from_n_to_2n(self, capsys, n):
+        for order in range(n, 2 * n + 1):
+            code, out, _ = run(
+                capsys,
+                "bounds", "--n", str(n), "--a", "0", "--b", "1",
+                "--fn", "exp(x)", "--bound-order", str(order), "--format", "json",
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["derivative_order_used"] == order
+            if order < 2 * n:
+                assert doc["bound_kind"] == "midrange"
+                assert doc["bound_stable"] is True
+                assert abs(doc["error"]) <= doc["bound_uniform"]
+                assert abs(doc["error"]) <= doc["bound_l2"]
+            else:
+                assert doc["bound_uniform"] is None and doc["bound_l2"] is None
+                assert doc[f"error_via_f{2 * n}"] == pytest.approx(-doc["error"], rel=1e-6)
 
 
 class TestVerifyCommand:
@@ -229,3 +252,54 @@ class TestUsageErrors:
         code, _, err = run(capsys, "weights", "--n", "2", "--a", "zero", "--b", "1")
         assert code == 1
         assert "rational" in err
+
+
+CONTRACT = json.loads((Path(__file__).parent / "data" / "cli_contract.json").read_text())
+
+
+def _refined_fields(argv):
+    """Fields that --bound-order 3 may change, and fields it may add.
+
+    It now runs the refinement pass that every other bound runs: the bounds
+    come from the doubled sampling grid, and the document gains
+    ``bound_stable``.
+    """
+    if "--bound-order" in argv and argv[argv.index("--bound-order") + 1] == "3":
+        return {"bound_uniform", "bound_l2"}, {"bound_stable"}
+    return set(), set()
+
+
+@pytest.mark.parametrize("case", CONTRACT, ids=lambda case: " ".join(case["argv"]))
+def test_output_contract(capsys, case):
+    """JSON and CSV output of integrate, bounds and composite, and the demo
+    text, match the output recorded before the single-record refactor."""
+    argv = case["argv"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    changed, added = _refined_fields(argv)
+    if argv[-1] == "json":
+        want = json.loads(case["stdout"])
+        got = json.loads(out)
+        docs = [(want, got)]
+        if "rows" in want:
+            assert want["fn"] == got["fn"] and len(want["rows"]) == len(got["rows"])
+            docs = list(zip(want["rows"], got["rows"]))
+        for want_doc, got_doc in docs:
+            assert set(got_doc) == set(want_doc) | added
+            for key, value in want_doc.items():
+                if key in changed:
+                    continue
+                if isinstance(value, float):
+                    assert got_doc[key] == pytest.approx(value, rel=1e-12), key
+                else:
+                    assert got_doc[key] == value, key
+    elif argv[-1] == "csv" and changed:
+        want_rows = list(csv.DictReader(case["stdout"].splitlines()))
+        got_rows = list(csv.DictReader(out.splitlines()))
+        assert out.splitlines()[0] == case["stdout"].splitlines()[0]
+        for want_row, got_row in zip(want_rows, got_rows, strict=True):
+            assert {k: v for k, v in got_row.items() if k not in changed} == {
+                k: v for k, v in want_row.items() if k not in changed
+            }
+    else:
+        assert out == case["stdout"]

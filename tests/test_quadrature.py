@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermquad import quadrature
 from hermquad.exactmath import Polynomial, X
 from hermquad.expressions import derivative_function, evaluator, jet_provider, parse
 from hermquad.kernel import kernel_set
@@ -223,6 +224,81 @@ class TestBounds:
         uniform, l2, stable = refined_bounds(derivative_function(parse("exp(x)"), 2), ks)
         assert stable
         assert uniform > 0 and l2 > 0
+
+
+class TestErrorEngine:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_chain_member_gives_the_same_error(self, n):
+        expr = parse("exp(x)")
+        ks = kernel_set(n, 0, 1)
+        base = error_exact(derivative_function(expr, n), ks)
+        for k in range(1, n + 1):
+            via_k = error_exact(derivative_function(expr, n + k), ks, k=k)
+            assert via_k == pytest.approx(base, rel=1e-8)
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_chain_bounds_dominate_for_n3(self, text):
+        n = 3
+        expr = parse(text)
+        quad = float(integrate_single(jet_provider(expr), n, 0, 1))
+        ref = reference_integrate(evaluator(expr), 0.0, 1.0, TIGHT)
+        assert ref.converged
+        actual = abs(quad - ref.value)
+        ks = kernel_set(n, 0, 1)
+        for k in range(1, n):
+            samples = sample_uniform(derivative_function(expr, n + k), 0, 1, 257)
+            assert actual <= bound_uniform(samples, ks, k=k)
+            assert actual <= bound_l2(samples, ks, k=k)
+
+    def test_chain_index_range(self):
+        ks = kernel_set(2, 0, 1)
+        assert ks.member(0) == ks.kernel
+        assert ks.member(2) == ks.antiderivatives[1]
+        for bad in (-1, 3):
+            with pytest.raises(ValueError):
+                ks.member(bad)
+        with pytest.raises(ValueError):
+            error_exact(lambda x: 0.0, ks, k=3)
+        # The bounds stop at k = n-1: integral(K^(n)) is not zero.
+        with pytest.raises(ValueError):
+            bound_uniform([1.0, 2.0], ks, k=2)
+        with pytest.raises(ValueError):
+            bound_l2([1.0, 2.0], ks, k=2)
+        with pytest.raises(ValueError):
+            refined_bounds(math.exp, ks, k=2)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_refined_bounds_samples_and_integrates_once(self, monkeypatch, k):
+        abs_calls = []
+        real = quadrature.kernel_abs_integral
+
+        def counted(*args):
+            abs_calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(quadrature, "kernel_abs_integral", counted)
+        points = []
+
+        def f(x):
+            points.append(x)
+            return math.exp(3 * x)
+
+        refined_bounds(f, kernel_set(3, 0, 1), 33, k=k)
+        assert len(points) == 2 * 33 - 1
+        assert len(abs_calls) == 1
+
+    @pytest.mark.parametrize("count", [5, 257])
+    def test_refined_bounds_match_two_separate_grids(self, count):
+        # The coarse pass reuses the even points of the fine grid; on [0, pi]
+        # they are bit-identical to a separately sampled grid.
+        f = derivative_function(parse("exp(x)*sin(3*x)"), 3)
+        ks = kernel_set(2, 0, Fraction(math.pi))
+        coarse = sample_uniform(f, ks.a, ks.b, count)
+        fine = sample_uniform(f, ks.a, ks.b, 2 * count - 1)
+        assert fine[::2] == coarse
+        pairs = [(bound_uniform(s, ks, k=1), bound_l2(s, ks, k=1)) for s in (coarse, fine)]
+        moved = any(abs(new - old) > 0.01 * abs(new) for old, new in zip(*pairs))
+        assert refined_bounds(f, ks, count, k=1) == (*pairs[1], not moved)
 
 
 class TestE2SpecificBounds:
