@@ -26,6 +26,7 @@ __all__ = [
     "X",
     "int_beta",
     "rational",
+    "rational_interval",
     "parse_rational",
     "format_rational",
 ]
@@ -48,6 +49,15 @@ def rational(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def rational_interval(a, b) -> tuple:
+    """(a, b) as exact rationals; raises ValueError unless a < b."""
+    a = rational(a)
+    b = rational(b)
+    if a >= b:
+        raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
+    return a, b
 
 
 def parse_rational(text: str) -> Fraction:

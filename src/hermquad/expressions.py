@@ -15,17 +15,19 @@ Differentiation works on truncated Taylor series: a jet of order m at x0
 holds the coefficients t_0..t_m of the expansion there, and derivatives
 come back as f^(k)(x0) = k! * t_k.  Keeping scaled coefficients rather
 than raw derivatives avoids factorial blow-up at high order; the k!
-factor appears only at the API boundary.  Integer powers use binary
-exponentiation on jets; other constant (or non-constant) exponents go
+factor appears only at the API boundary.  Exponents that fold to an exact
+integer use binary exponentiation on jets; every other exponent goes
 through exp(e * log(base)), restricted to positive bases.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 __all__ = [
     "Expr",
@@ -33,6 +35,7 @@ __all__ = [
     "EvalDomainError",
     "TaylorJet",
     "MAX_JET_ORDER",
+    "MAX_NESTING",
     "parse",
     "jet_eval",
     "jet_provider",
@@ -43,6 +46,11 @@ __all__ = [
 #: Hard cap on the jet order; the recurrences are O(m^2) and nothing in the
 #: quadrature engine needs more.
 MAX_JET_ORDER = 128
+
+#: Deepest accepted nesting: parentheses, calls, unary minus, "^" and each
+#: operator of a chain (a+b+c is (a+b)+c) open a level.  Parsing and
+#: evaluation recurse per level; this keeps both far from Python's limit.
+MAX_NESTING = 100
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -72,6 +80,12 @@ class Expr:
 
     def unparse(self) -> str:
         raise NotImplementedError
+
+    @cached_property
+    def height(self) -> int:
+        """Levels of the tree from this node down; a leaf has height 1."""
+        children = [v for v in vars(self).values() if isinstance(v, Expr)]
+        return 1 + max((child.height for child in children), default=0)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.unparse()!r})"
@@ -172,6 +186,13 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # factor() calls in progress
+
+    def nested(self, node: Expr, tok: _Token) -> Expr:
+        """``node``, unless its tree nests deeper than MAX_NESTING levels."""
+        if node.height > MAX_NESTING + 1:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", tok.pos)
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -190,19 +211,24 @@ class _Parser:
     def expression(self) -> Expr:
         node = self.term()
         while (tok := self.match_op("+", "-")) is not None:
-            node = BinOp(tok.text, node, self.term())
+            node = self.nested(BinOp(tok.text, node, self.term()), tok)
         return node
 
     def term(self) -> Expr:
         node = self.factor()
         while (tok := self.match_op("*", "/")) is not None:
-            node = BinOp(tok.text, node, self.factor())
+            node = self.nested(BinOp(tok.text, node, self.factor()), tok)
         return node
 
     def factor(self) -> Expr:
-        if self.match_op("-"):
-            return Neg(self.factor())
-        return self.power()
+        # Every recursion of the grammar passes here: bound it before any node exists.
+        tok = self.peek()
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", tok.pos)
+        self.depth += 1
+        node = Neg(self.factor()) if self.match_op("-") else self.power()
+        self.depth -= 1
+        return self.nested(node, tok)
 
     def power(self) -> Expr:
         base = self.atom()
@@ -222,14 +248,10 @@ class _Parser:
             if tok.text == "pi":
                 return Pi()
             if tok.text in FUNCTIONS:
-                if not self.match_op("("):
-                    raise ParseError(
-                        f"expected '(' after function {tok.text!r}", self.peek().pos
-                    )
-                arg = self.expression()
-                if not self.match_op(")"):
-                    raise ParseError("expected ')'", self.peek().pos)
-                return Call(tok.text, arg)
+                # The argument is the parenthesized atom that must follow.
+                if self.peek().text != "(":
+                    raise ParseError(f"expected '(' after function {tok.text!r}", self.peek().pos)
+                return Call(tok.text, self.atom())
             raise ParseError(
                 f"unknown identifier {tok.text!r}; expected x, pi, or one of "
                 + ", ".join(FUNCTIONS),
@@ -279,6 +301,12 @@ class TaylorJet:
     def derivatives(self) -> tuple:
         """(f, f', ..., f^(m)) at the expansion point."""
         return tuple(math.factorial(k) * t for k, t in enumerate(self.coeffs))
+
+
+def _constant(value: float, m: int) -> list:
+    out = [0.0] * (m + 1)
+    out[0] = value
+    return out
 
 
 def _mul(u, v):
@@ -365,9 +393,7 @@ _MAX_INT_EXPONENT = 1 << 20
 def _powi(u, exponent, node):
     if abs(exponent) > _MAX_INT_EXPONENT:
         raise EvalDomainError(f"integer exponent {exponent} is too large", node)
-    m = len(u)
-    one = [0.0] * m
-    one[0] = 1.0
+    one = _constant(1.0, len(u) - 1)
     if exponent == 0:
         return one
     e = abs(exponent)
@@ -376,69 +402,53 @@ def _powi(u, exponent, node):
     while e:
         if e & 1:
             result = _mul(result, base)
-        base = _mul(base, base)
         e >>= 1
+        if e:
+            base = _mul(base, base)
     if exponent < 0:
         result = _div(one, result, node)
     return result
 
 
-def constant_value(node: Expr):
-    """Fold a constant subtree to a Fraction (exact) or float; None if it has x."""
+_EXACT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow}
+
+
+def constant_value(node: Expr) -> Fraction | None:
+    """Fold an exactly rational subtree to a Fraction, else None.
+
+    Folds numbers, negation, + - * / and integer powers up to
+    _MAX_INT_EXPONENT.  Anything holding x, pi, a function call, a
+    non-integer power or a division by zero is left to the jets.
+    """
     if isinstance(node, Num):
         return node.value
-    if isinstance(node, Pi):
-        return math.pi
-    if isinstance(node, Var):
-        return None
     if isinstance(node, Neg):
         v = constant_value(node.arg)
         return None if v is None else -v
-    if isinstance(node, BinOp):
-        left = constant_value(node.left)
-        right = constant_value(node.right)
-        if left is None or right is None:
+    if not isinstance(node, BinOp):
+        return None
+    left = constant_value(node.left)
+    right = constant_value(node.right)
+    if left is None or right is None:
+        return None
+    if node.op == "^":
+        if right.denominator != 1 or abs(right.numerator) > _MAX_INT_EXPONENT:
             return None
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            if node.op == "^":
-                if isinstance(right, Fraction) and right.denominator == 1:
-                    if abs(right.numerator) > _MAX_INT_EXPONENT:
-                        return None
-                    return left ** right.numerator
-                return float(left) ** float(right)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return None
-    if isinstance(node, Call):
-        v = constant_value(node.arg)
-        if v is None:
-            return None
-        try:
-            return getattr(math, node.name)(float(v))
-        except ValueError:
-            return None
-    return None
+        right = right.numerator
+    try:
+        return _EXACT_OPS[node.op](left, right)
+    except ZeroDivisionError:
+        return None
 
 
 def _jet(node: Expr, x0: float, m: int) -> list:
     if isinstance(node, Num):
-        out = [0.0] * (m + 1)
-        out[0] = float(node.value)
-        return out
+        return _constant(float(node.value), m)
     if isinstance(node, Pi):
-        out = [0.0] * (m + 1)
-        out[0] = math.pi
-        return out
+        return _constant(math.pi, m)
     if isinstance(node, Var):
-        out = [0.0] * (m + 1)
-        out[0] = x0
+        out = _constant(x0, m)
         if m >= 1:
             out[1] = 1.0
         return out
@@ -448,19 +458,17 @@ def _jet(node: Expr, x0: float, m: int) -> list:
         if node.op == "^":
             exponent = constant_value(node.right)
             base = _jet(node.left, x0, m)
-            if isinstance(exponent, Fraction) and exponent.denominator == 1:
+            if exponent is not None and exponent.denominator == 1:
                 return _powi(base, exponent.numerator, node)
-            if exponent is not None:
-                if base[0] <= 0.0:
-                    raise EvalDomainError(
-                        "non-integer power of a non-positive base", node
-                    )
-                return _exp([float(exponent) * t for t in _log(base, node)])
-            # Non-constant exponent: rewrite as exp(e * log(base)).
-            exp_jet = _jet(node.right, x0, m)
+            # Every other exponent: exp(e * log(base)), with e scaled in
+            # O(m) when it is rational and taken from its own jet otherwise.
+            e_jet = _jet(node.right, x0, m) if exponent is None else None
             if base[0] <= 0.0:
-                raise EvalDomainError("power of a non-positive base", node)
-            return _exp(_mul(exp_jet, _log(base, node)))
+                raise EvalDomainError("non-integer power of a non-positive base", node)
+            log_base = _log(base, node)
+            if e_jet is None:
+                return _exp([float(exponent) * t for t in log_base])
+            return _exp(_mul(e_jet, log_base))
         left = _jet(node.left, x0, m)
         right = _jet(node.right, x0, m)
         if node.op == "+":

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import Polynomial, X, rational
+from .exactmath import Polynomial, X, rational, rational_interval
 from .weights import HermiteRule, _check_order, compute_weights
 
 __all__ = [
@@ -94,8 +94,8 @@ class KernelSet:
     def l2sq(self) -> Fraction:
         return kernel_l2sq(self.kernel, self.a, self.b)
 
-    def abs_integral(self, tol: float = 1e-12) -> float:
-        return kernel_abs_integral(self.kernel, self.a, self.b, tol)
+    def abs_integral(self) -> float:
+        return kernel_abs_integral(self.kernel, self.a, self.b)
 
     def to_json_dict(self) -> dict:
         from .exactmath import format_rational
@@ -125,10 +125,7 @@ def solve_params(n: int, a, b) -> KernelParams:
     sum starts at i = 1.  For n = 1 there are no deltas.
     """
     _check_order(n)
-    a = rational(a)
-    b = rational(b)
-    if a >= b:
-        raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
+    a, b = rational_interval(a, b)
     c = -(a + b) / 2
     if n == 1:
         return KernelParams(n=1, c=c, deltas=())
@@ -159,10 +156,7 @@ def kernel_from_params(params: KernelParams) -> Polynomial:
 def rodrigues_kernel(n: int, a, b) -> Polynomial:
     """K_n via the Rodrigues-style derivative form, (1/(2n)!) d^n [(x-a)^n (x-b)^n]."""
     _check_order(n)
-    a = rational(a)
-    b = rational(b)
-    if a >= b:
-        raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
+    a, b = rational_interval(a, b)
     w = (X - a) ** n * (X - b) ** n
     return w.derivative(n) / math.factorial(2 * n)
 
@@ -262,25 +256,19 @@ def isolate_roots(poly: Polynomial, a, b) -> list:
     return [float(r) for r in _isolate_roots_exact(poly, rational(a), rational(b))]
 
 
-def kernel_abs_integral(kernel: Polynomial, a, b, tol: float = 1e-12) -> float:
+def kernel_abs_integral(kernel: Polynomial, a, b) -> float:
     """Numerically accurate integral of |K| over [a, b].
 
     Isolates the sign-change roots of K in (a, b) and sums the absolute
     values of exact antiderivative differences over the resulting
     subintervals, all in rational arithmetic.  Root placement is the only
     approximate step; the antiderivative is stationary at each root, so
-    its effect is second order in the 1e-14 bracket width (far below
-    ``tol`` for any tol >= 1e-13).
+    its effect is second order in the 1e-14 bracket width.
 
     Raises :class:`RootIsolationError` if the segment signs fail to
     alternate, which would indicate missed sign changes.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = rational(a)
-    b = rational(b)
-    if a >= b:
-        raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
+    a, b = rational_interval(a, b)
     if kernel.is_zero():
         return 0.0
     cuts = [a] + _isolate_roots_exact(kernel, a, b) + [b]

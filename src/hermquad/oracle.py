@@ -59,7 +59,6 @@ class OracleConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_depth: int = 48
-    base_rule: str = "gauss-kronrod-7/15"
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:

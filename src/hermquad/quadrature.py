@@ -218,9 +218,7 @@ def _bound_member(kernel: KernelSet, k: int):
     return kernel.member(k)
 
 
-def bound_uniform(
-    f_n_samples, kernel: KernelSet, tol: float = 1e-12, k: int = 0
-) -> float:
+def bound_uniform(f_n_samples, kernel: KernelSet, *, k: int = 0) -> float:
     """|E_n| <= sup|f^(n+k) - midrange| * integral(|K^(k)|), from sampled extrema.
 
     Needs 0 <= k <= n-1: only then is integral(K^(k)) = K^(k+1)(b) -
@@ -228,7 +226,7 @@ def bound_uniform(
     error unchanged.
     """
     member = _bound_member(kernel, k)
-    return _spread_half(f_n_samples) * kernel_abs_integral(member, kernel.a, kernel.b, tol)
+    return _spread_half(f_n_samples) * kernel_abs_integral(member, kernel.a, kernel.b)
 
 
 def bound_l2(f_n_samples, kernel: KernelSet, k: int = 0) -> float:
@@ -245,7 +243,7 @@ def bound_l2(f_n_samples, kernel: KernelSet, k: int = 0) -> float:
     )
 
 
-def e2_bound_f3(f3_samples, kernel: KernelSet, tol: float = 1e-12) -> BoundPair:
+def e2_bound_f3(f3_samples, kernel: KernelSet) -> BoundPair:
     """Third-derivative bounds for the n = 2 rule: the k = 1 bounds.
 
     For G = K^(1), integral(|G|) = (b-a)^4/192 and ||G||_2^2 = (b-a)^7/30240.
@@ -253,7 +251,7 @@ def e2_bound_f3(f3_samples, kernel: KernelSet, tol: float = 1e-12) -> BoundPair:
     if kernel.n != 2:
         raise ValueError("third-derivative bounds apply to the order-2 rule only")
     return BoundPair(
-        bound_uniform(f3_samples, kernel, tol, k=1), bound_l2(f3_samples, kernel, k=1)
+        bound_uniform(f3_samples, kernel, k=1), bound_l2(f3_samples, kernel, k=1)
     )
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import Polynomial, X, rational
+from .exactmath import Polynomial, X, rational_interval
 from .interpolant import JetPair, build_hermite
 from .kernel import (
     antiderivative_chain,
@@ -46,8 +46,7 @@ def _monomial_jets(d: int, n: int, x: Fraction) -> tuple:
 
 def run_checks(n: int, a=0, b=1) -> list:
     """Run the exact identity suite for order n on [a, b]."""
-    a = rational(a)
-    b = rational(b)
+    a, b = rational_interval(a, b)
     checks = []
     rule = compute_weights(n, a, b)
     params = solve_params(n, a, b)

@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import format_rational, parse_rational, rational
+from .exactmath import format_rational, parse_rational, rational_interval
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -141,10 +141,7 @@ def omega_coeffs(n: int) -> tuple:
 def compute_weights(n: int, a, b) -> HermiteRule:
     """Exact rule of order n on [a, b].  Rejects n < 1, n above the cap, a >= b."""
     _check_order(n)
-    a = rational(a)
-    b = rational(b)
-    if a >= b:
-        raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
+    a, b = rational_interval(a, b)
     h = b - a
     omegas = omega_coeffs(n)
     w_a = tuple(w * h ** (j + 1) for j, w in enumerate(omegas))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hermquad.cli import main
+from hermquad.expressions import MAX_NESTING
 from hermquad.weights import HermiteRule, compute_weights
 
 
@@ -232,6 +233,41 @@ class TestDemoCommand:
         line = next(l for l in out.splitlines() if "n=1" in l)
         value = float(line.split(":")[1].strip())
         assert value == pytest.approx(0.0, abs=1e-12)
+
+
+def _nested(shape: str, depth: int) -> str:
+    """An integrand on [1, 2] that nests ``depth`` levels deep."""
+    if shape == "parens":
+        return "(" * depth + "x" + ")" * depth
+    if shape == "calls":
+        return "sqrt(" * depth + "x" + ")" * depth
+    if shape == "minus":
+        return "-" * depth + "x"
+    if shape == "powers":
+        return "x" + "^1" * depth
+    return "+".join(["x"] * (depth + 1))  # a chain of depth operators
+
+
+class TestNestingLimit:
+    SHAPES = ["parens", "calls", "minus", "powers", "chain"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_deepest_accepted_nesting_runs(self, capsys, shape):
+        code, out, err = run(
+            capsys, "bounds", "--n", "2", "--a", "1", "--b", "2",
+            f"--fn={_nested(shape, MAX_NESTING)}", "--format", "json",
+        )
+        assert code == 0, err
+        assert math.isfinite(json.loads(out)["error"])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_level_deeper_exits_1(self, capsys, shape):
+        code, _, err = run(
+            capsys, "bounds", "--n", "2", "--a", "1", "--b", "2",
+            f"--fn={_nested(shape, MAX_NESTING + 1)}",
+        )
+        assert code == 1
+        assert f"nests deeper than {MAX_NESTING} levels (at position" in err
 
 
 class TestUsageErrors:

@@ -11,6 +11,7 @@ from hermquad.exactmath import (
     int_beta,
     parse_rational,
     rational,
+    rational_interval,
 )
 
 from conftest import coeff_lists, intervals, rationals
@@ -34,6 +35,12 @@ class TestRationalHelpers:
         assert rational(0.1) == Fraction(0.1)  # the double's exact value, not 1/10
         with pytest.raises(ValueError):
             rational(float("inf"))
+
+    def test_interval(self):
+        assert rational_interval("1/3", 0.5) == (Fraction(1, 3), Fraction(1, 2))
+        for a, b in (("1", "1"), ("2", "1/2")):
+            with pytest.raises(ValueError, match=r"interval must satisfy a < b, got \["):
+                rational_interval(a, b)
 
     def test_format(self):
         assert format_rational(Fraction(3, 4)) == "3/4"

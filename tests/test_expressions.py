@@ -10,9 +10,11 @@ from hermquad.expressions import (
     Call,
     EvalDomainError,
     MAX_JET_ORDER,
+    MAX_NESTING,
     Num,
     ParseError,
     Var,
+    constant_value,
     derivative_function,
     evaluator,
     jet_eval,
@@ -84,6 +86,27 @@ class TestParse:
         # right-associative power: 2^(3^2) = 512
         assert evaluator(parse("2^3^2"))(0.0) == 512.0
 
+    @pytest.mark.parametrize("text,position", [
+        ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), MAX_NESTING + 1),
+        ("-" * (MAX_NESTING + 1) + "x", MAX_NESTING + 1),
+        ("*".join(["x"] * (MAX_NESTING + 2)), 2 * MAX_NESTING + 1),
+    ])
+    def test_nesting_limit_position(self, text, position):
+        with pytest.raises(ParseError, match="nests deeper") as err:
+            parse(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text", ["(" * 5000 + "x" + ")" * 5000, "sin(" * 5000 + "x", "-" * 5000 + "x"])
+    def test_far_too_deep_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse(text)
+
+    def test_height(self):
+        assert parse("x").height == 1
+        assert parse("((x))").height == 1
+        assert parse("x+x+x").height == 3
+        assert parse("-sin(x)^2").height == 4
+
     def test_decimal_literals_exact(self):
         node = parse("0.1")
         assert isinstance(node, Num)
@@ -144,6 +167,25 @@ class TestJetEval:
             jet_eval(parse("x"), 0.0, MAX_JET_ORDER + 1)
         with pytest.raises(ValueError):
             jet_eval(parse("x"), 0.0, -1)
+
+
+class TestConstantFolding:
+    @pytest.mark.parametrize("text,value", [
+        ("3/2", Fraction(3, 2)),
+        ("0.1+0.2", Fraction(3, 10)),
+        ("0.5*4", Fraction(2)),
+        ("2^-1", Fraction(1, 2)),
+        ("-(2/3)^3", Fraction(-8, 27)),
+    ])
+    def test_exact_rationals_fold(self, text, value):
+        folded = constant_value(parse(text))
+        assert type(folded) is Fraction and folded == value
+
+    @pytest.mark.parametrize("text", [
+        "x", "pi", "sin(1)", "2^0.5", "(-8)^(1/3)", "1/0", "0^-1", "2^(2^30)", "x-x",
+    ])
+    def test_everything_else_is_left_to_the_jets(self, text):
+        assert constant_value(parse(text)) is None
 
 
 class TestFiniteDifferenceCrossCheck:

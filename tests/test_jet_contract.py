@@ -1,0 +1,129 @@
+"""Taylor jets pinned bit for bit against a recorded contract.
+
+``tests/data/jet_contract.json`` holds, for every (expression, x0, m) case
+below, the jet coefficients as ``float.hex`` strings or the exception type
+and message.  It was recorded before the constant folder became exact-only;
+regenerate it from a checkout with
+
+    PYTHONPATH=src python tests/test_jet_contract.py > tests/data/jet_contract.json
+
+Exact equality is required.  The one message that was renamed then, for a
+non-positive base under a variable exponent, is mapped through
+``RENAMED_MESSAGES``; the exponent forms whose value or message changed
+are asserted separately, in ``TestExponentRules``.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from hermquad.cli import main
+from hermquad.expressions import EvalDomainError, jet_eval, parse
+
+#: One of each benchmark factor kind per parameter, two rendered benchmark
+#: integrands, and the test corpus.
+FACTORS = tuple(
+    [f"exp({p}*x)" for p in ("0.5", "-0.5", "1", "-1", "1.5")]
+    + [f"{fn}({p}*x)" for fn in ("sin", "cos") for p in ("1", "2", "3")]
+    + ["log(1+x^2)"]
+    + [f"1/({p}+x^2)" for p in ("1", "2", "3")]
+    + [f"sqrt({p}+x)" for p in ("2", "3", "4")]
+    + ["x^2", "x^3"]
+    + ["0.3*exp(0.5*x)*sin(2*x) + 1.5*x^3", "2.5*log(1+x^2)*1/(2+x^2) + 0.5*sqrt(3+x)"]
+)
+CORPUS = ("exp(x)", "sin(x)", "x^2*sin(x)", "1/(1+x^2)")
+KNOWN_DEFECTS = ("exp(-100000000*(x-0.30001)^2)", "sin(1/x)")
+CONSTANTS = (
+    "pi*x", "x+pi", "pi^2*x", "sin(1)*x", "exp(2)+x", "sqrt(2)*x", "log(3)/x",
+    "cos(pi)*x^2", "2^0.5*x", "(-8)^(1/3)+x",
+)
+RATIONAL_EXPONENTS = (
+    "x^(3/2)", "x^(0.1+0.2)", "x^(4/2)", "x^(0.5*4)", "x^(2^-1)", "x^-3", "x^0",
+)
+VARIABLE_EXPONENTS = ("x^x", "2^x", "(-2)^x", "x^(1/0)")
+
+EXPRESSIONS = FACTORS + CORPUS + KNOWN_DEFECTS + CONSTANTS + RATIONAL_EXPONENTS + VARIABLE_EXPONENTS
+POINTS = (0.7, 1.3, -0.4)
+ORDERS = (0, 3, 12)
+
+#: Before the exponent rules were unified, a variable exponent on a
+#: non-positive base had a message of its own.
+RENAMED_MESSAGES = {
+    "power of a non-positive base": "non-integer power of a non-positive base",
+}
+
+ONE_MESSAGE = "non-integer power of a non-positive base"
+
+
+def record(text, x0, m) -> dict:
+    entry = {"fn": text, "x0": x0, "m": m}
+    try:
+        entry["jet"] = [t.hex() for t in jet_eval(parse(text), x0, m).coeffs]
+    except ValueError as exc:  # domain and parse errors are part of the contract
+        entry["error"] = type(exc).__name__
+        entry["message"] = str(exc)
+    return entry
+
+
+def _renamed(message: str) -> str:
+    head, sep, tail = message.partition(" in '")
+    return RENAMED_MESSAGES.get(head, head) + sep + tail
+
+
+CONTRACT = json.loads((Path(__file__).parent / "data" / "jet_contract.json").read_text())
+
+
+def test_contract_covers_every_case():
+    recorded = [(e["fn"], e["x0"], e["m"]) for e in CONTRACT]
+    assert recorded == [(t, x0, m) for t in EXPRESSIONS for x0 in POINTS for m in ORDERS]
+
+
+@pytest.mark.parametrize("want", CONTRACT, ids=lambda e: f"{e['fn']}@{e['x0']}/{e['m']}")
+def test_jet_contract(want):
+    got = record(want["fn"], want["x0"], want["m"])
+    if "message" in want:
+        want = dict(want, message=_renamed(want["message"]))
+    assert got == want
+
+
+class TestExponentRules:
+    """Exponents that are not exact rationals evaluate as exp(e * log(base))."""
+
+    @pytest.mark.parametrize("exponent", ["pi", "sin(1)", "2^0.5"])
+    @pytest.mark.parametrize("x0", [0.7, 1.3])
+    def test_non_rational_exponent_is_exp_e_log(self, exponent, x0):
+        got = jet_eval(parse(f"x^({exponent})"), x0, 12).coeffs
+        want = jet_eval(parse(f"exp(({exponent})*log(x))"), x0, 12).coeffs
+        assert [t.hex() for t in got] == [t.hex() for t in want]
+
+    def test_square_root_of_two_is_not_folded_with_pow(self):
+        # 2^0.5 evaluates the same way inside an exponent as outside one.
+        value = jet_eval(parse("x^(2^0.5)"), math.e, 0).value
+        assert value == math.exp(math.exp(0.5 * math.log(2.0)) * math.log(math.e))
+        assert jet_eval(parse("2^0.5"), 0.0, 0).value == math.exp(0.5 * math.log(2.0))
+
+    @pytest.mark.parametrize("text", ["x^pi", "x^sin(1)", "x^(2^0.5)", "x^x", "(-2)^x"])
+    def test_one_message_for_a_non_positive_base(self, text):
+        with pytest.raises(EvalDomainError) as err:
+            jet_eval(parse(text), -0.4, 3)
+        assert str(err.value).startswith(ONE_MESSAGE + " in ")
+
+    @pytest.mark.parametrize("text", ["x^((-8)^(1/3))", "x^sin((-8)^(1/3))"])
+    def test_complex_exponent_is_a_domain_error(self, text):
+        with pytest.raises(EvalDomainError) as err:
+            jet_eval(parse(text), 1.5, 3)
+        assert str(err.value) == f"{ONE_MESSAGE} in '(-8 ^ (1 / 3))'"
+
+    @pytest.mark.parametrize("fn", ["x^((-8)^(1/3))", "x^sin((-8)^(1/3))"])
+    def test_complex_exponent_exits_2(self, capsys, fn):
+        code = main(["integrate", "--n", "2", "--a", "1", "--b", "2", "--fn", fn])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "numerical failure" in err and "Traceback" not in err
+
+
+if __name__ == "__main__":
+    cases = [record(t, x0, m) for t in EXPRESSIONS for x0 in POINTS for m in ORDERS]
+    print("[\n" + ",\n".join(json.dumps(case) for case in cases) + "\n]")

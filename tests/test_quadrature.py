@@ -212,6 +212,11 @@ class TestBounds:
         ks = kernel_set(2, 0, 1)
         assert math.sqrt(float(ks.l2sq())) == pytest.approx(1 / math.sqrt(720), rel=1e-14)
 
+    def test_chain_index_is_keyword_only(self):
+        # A positional third argument was once a root-isolation tolerance.
+        with pytest.raises(TypeError):
+            bound_uniform([1.0, 2.0], kernel_set(2, 0, 1), 1e-12)
+
     def test_needs_two_samples(self):
         ks = kernel_set(2, 0, 1)
         with pytest.raises(ValueError):
