@@ -15,9 +15,13 @@ Differentiation works on truncated Taylor series: a jet of order m at x0
 holds the coefficients t_0..t_m of the expansion there, and derivatives
 come back as f^(k)(x0) = k! * t_k.  Keeping scaled coefficients rather
 than raw derivatives avoids factorial blow-up at high order; the k!
-factor appears only at the API boundary.  Exponents that fold to an exact
-integer use binary exponentiation on jets; every other exponent goes
-through exp(e * log(base)), restricted to positive bases.
+factor appears only at the API boundary.  An expression is compiled once,
+on first evaluation: one walk folds exact rational subtrees and builds the
+jet functions.  Exponents that fold to an exact integer use binary
+exponentiation on jets; every other exponent goes through
+exp(e * log(base)), restricted to positive bases.  A literal longer than
+MAX_LITERAL_DIGITS is a ParseError; a folded constant wider than
+MAX_CONSTANT_BITS bits is an EvalDomainError when it is evaluated.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 __all__ = [
     "Expr",
@@ -36,6 +41,7 @@ __all__ = [
     "TaylorJet",
     "MAX_JET_ORDER",
     "MAX_NESTING",
+    "MAX_LITERAL_DIGITS", "MAX_CONSTANT_BITS",
     "parse",
     "jet_eval",
     "jet_provider",
@@ -52,7 +58,11 @@ MAX_JET_ORDER = 128
 #: evaluation recurse per level; this keeps both far from Python's limit.
 MAX_NESTING = 100
 
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+#: Limits of exact arithmetic: a number literal's digits plus its exponent's
+#: magnitude (Python's int/str limit, which unparse relies on), and the bits
+#: of a folded constant's numerator or denominator.
+MAX_LITERAL_DIGITS = 4300
+MAX_CONSTANT_BITS = 1 << 20
 
 
 class ParseError(ValueError):
@@ -86,6 +96,11 @@ class Expr:
         """Levels of the tree from this node down; a leaf has height 1."""
         children = [v for v in vars(self).values() if isinstance(v, Expr)]
         return 1 + max((child.height for child in children), default=0)
+
+    @cached_property
+    def compiled(self) -> "Compiled":
+        """The jet function and exact value, built by one walk on first use."""
+        return _compile(self)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.unparse()!r})"
@@ -240,6 +255,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
+            digits, _, exponent = tok.text.lower().partition("e")
+            exponent = exponent.lstrip("+-").lstrip("0")  # sized by its text: it may be huge
+            if (len(exponent) > len(str(MAX_LITERAL_DIGITS))
+                    or sum(map(str.isdigit, digits)) + int(exponent or 0) > MAX_LITERAL_DIGITS):
+                raise ParseError(f"number literal exceeds {MAX_LITERAL_DIGITS} digits", tok.pos)
             return Num(Fraction(tok.text))
         if tok.kind == "name":
             self.advance()
@@ -392,7 +412,7 @@ _MAX_INT_EXPONENT = 1 << 20
 
 def _powi(u, exponent, node):
     if abs(exponent) > _MAX_INT_EXPONENT:
-        raise EvalDomainError(f"integer exponent {exponent} is too large", node)
+        raise EvalDomainError(f"integer exponent exceeds {_MAX_INT_EXPONENT} in magnitude", node)
     one = _constant(1.0, len(u) - 1)
     if exponent == 0:
         return one
@@ -410,90 +430,95 @@ def _powi(u, exponent, node):
     return result
 
 
-_EXACT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "/": operator.truediv, "^": operator.pow}
+#: Function name -> jet rule (u, node); the parser accepts exactly these names.
+_CALLS = {
+    "sin": lambda u, node: _sin_cos(u)[0],
+    "cos": lambda u, node: _sin_cos(u)[1],
+    "exp": lambda u, node: _exp(u),
+    "log": _log,
+    "sqrt": _sqrt,
+}
+FUNCTIONS = tuple(_CALLS)
+
+#: Operator -> (exact rule, jet rule (u, v, node) -> jet); "^" jets come from _power.
+_BINARY = {
+    "+": (operator.add, lambda u, v, node: [p + q for p, q in zip(u, v)]),
+    "-": (operator.sub, lambda u, v, node: [p - q for p, q in zip(u, v)]),
+    "*": (operator.mul, lambda u, v, node: _mul(u, v)),
+    "/": (operator.truediv, _div),
+    "^": (operator.pow, None),
+}
+
+_TOO_WIDE = object()
 
 
-def constant_value(node: Expr) -> Fraction | None:
-    """Fold an exactly rational subtree to a Fraction, else None.
-
-    Folds numbers, negation, + - * / and integer powers up to
-    _MAX_INT_EXPONENT.  Anything holding x, pi, a function call, a
-    non-integer power or a division by zero is left to the jets.
-    """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        v = constant_value(node.arg)
-        return None if v is None else -v
-    if not isinstance(node, BinOp):
+def _fold(op: str, left, right):
+    """Exact ``left op right``: None if it is not a rational, _TOO_WIDE if
+    its size bound, taken from the operands, exceeds MAX_CONSTANT_BITS."""
+    if left is None or right is None or (op == "^" and right.denominator != 1):
         return None
-    left = constant_value(node.left)
-    right = constant_value(node.right)
-    if left is None or right is None:
-        return None
-    if node.op == "^":
-        if right.denominator != 1 or abs(right.numerator) > _MAX_INT_EXPONENT:
-            return None
-        right = right.numerator
+    lw, rw = (max(q.numerator.bit_length(), q.denominator.bit_length()) for q in (left, right))
+    if (abs(right) * lw if op == "^" else lw + rw + 1) > MAX_CONSTANT_BITS:  # a sum may carry
+        return _TOO_WIDE
     try:
-        return _EXACT_OPS[node.op](left, right)
+        return _BINARY[op][0](left, right)
     except ZeroDivisionError:
         return None
 
 
-def _jet(node: Expr, x0: float, m: int) -> list:
-    if isinstance(node, Num):
-        return _constant(float(node.value), m)
-    if isinstance(node, Pi):
-        return _constant(math.pi, m)
-    if isinstance(node, Var):
-        out = _constant(x0, m)
-        if m >= 1:
-            out[1] = 1.0
-        return out
-    if isinstance(node, Neg):
-        return [-t for t in _jet(node.arg, x0, m)]
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            exponent = constant_value(node.right)
-            base = _jet(node.left, x0, m)
-            if exponent is not None and exponent.denominator == 1:
-                return _powi(base, exponent.numerator, node)
-            # Every other exponent: exp(e * log(base)), with e scaled in
-            # O(m) when it is rational and taken from its own jet otherwise.
-            e_jet = _jet(node.right, x0, m) if exponent is None else None
-            if base[0] <= 0.0:
-                raise EvalDomainError("non-integer power of a non-positive base", node)
-            log_base = _log(base, node)
-            if e_jet is None:
-                return _exp([float(exponent) * t for t in log_base])
-            return _exp(_mul(e_jet, log_base))
-        left = _jet(node.left, x0, m)
-        right = _jet(node.right, x0, m)
-        if node.op == "+":
-            return [p + q for p, q in zip(left, right)]
-        if node.op == "-":
-            return [p - q for p, q in zip(left, right)]
-        if node.op == "*":
-            return _mul(left, right)
-        if node.op == "/":
-            return _div(left, right, node)
-        raise AssertionError(f"unhandled operator {node.op!r}")
-    if isinstance(node, Call):
-        arg = _jet(node.arg, x0, m)
-        if node.name == "exp":
-            return _exp(arg)
-        if node.name == "log":
-            return _log(arg, node)
-        if node.name == "sqrt":
-            return _sqrt(arg, node)
-        if node.name == "sin":
-            return _sin_cos(arg)[0]
-        if node.name == "cos":
-            return _sin_cos(arg)[1]
-        raise AssertionError(f"unhandled function {node.name!r}")
-    raise TypeError(f"not an expression node: {node!r}")
+class Compiled(NamedTuple):
+    """What ``Expr.compiled`` holds."""
+
+    jet: Callable  # (x0, m) -> [t_0..t_m]
+    exact: Fraction | None  # the value, when the expression is an exact rational
+
+
+def _power(base, exponent, value, node):
+    """The jet function of base^exponent; ``value`` is the exponent's exact value or None."""
+    if value is not None and value.denominator == 1:
+        return lambda x0, m: _powi(base(x0, m), value.numerator, node)
+
+    def jet(x0, m):
+        b, e = base(x0, m), (exponent(x0, m) if value is None else None)
+        if b[0] <= 0.0:
+            raise EvalDomainError("non-integer power of a non-positive base", node)
+        log_b = _log(b, node)  # a rational exponent scales it in O(m)
+        return _exp(_mul(e, log_b) if value is None else [float(value) * t for t in log_b])
+
+    return jet
+
+
+def _compile(node: Expr) -> Compiled:
+    """One walk: fold exact rational subtrees and build each node's jet function.
+    Jets run operands left to right, a base before its exponent, and make
+    floats of literals only then, so errors surface in evaluation order."""
+    match node:
+        case Num(value):
+            return Compiled(lambda x0, m: _constant(float(value), m), value)
+        case Pi():
+            return Compiled(lambda x0, m: _constant(math.pi, m), None)
+        case Var():  # x0 + (x - x0)
+            return Compiled(lambda x0, m: ([x0, 1.0] + [0.0] * (m - 1))[:m + 1], None)
+        case Neg(arg):
+            arg, exact = _compile(arg)
+            return Compiled(lambda x0, m: [-t for t in arg(x0, m)], None if exact is None else -exact)
+        case Call(name, arg):
+            rule, arg = _CALLS[name], _compile(arg).jet
+            return Compiled(lambda x0, m: rule(arg(x0, m), node), None)
+        case BinOp(op, left, right):
+            (left, left_exact), (right, right_exact) = _compile(left), _compile(right)
+            rule = _BINARY[op][1]
+            jet = (_power(left, right, right_exact, node) if op == "^"
+                   else lambda x0, m: rule(left(x0, m), right(x0, m), node))
+            exact = _fold(op, left_exact, right_exact)
+            if exact is not _TOO_WIDE:
+                return Compiled(jet, exact)
+
+            def too_wide(x0, m):  # the node's own errors, such as a huge exponent, come first
+                jet(x0, m)
+                raise EvalDomainError(f"exact constant wider than {MAX_CONSTANT_BITS} bits", node)
+
+            return Compiled(too_wide, None)
 
 
 def jet_eval(expr: Expr, x0, m: int) -> TaylorJet:
@@ -502,7 +527,7 @@ def jet_eval(expr: Expr, x0, m: int) -> TaylorJet:
         raise ValueError(f"jet order must be a nonnegative integer, got {m!r}")
     if m > MAX_JET_ORDER:
         raise ValueError(f"jet order {m} exceeds the cap {MAX_JET_ORDER}")
-    return TaylorJet(tuple(_jet(expr, float(x0), m)))
+    return TaylorJet(tuple(expr.compiled.jet(float(x0), m)))
 
 
 def jet_provider(expr: Expr):
@@ -518,7 +543,7 @@ def evaluator(expr: Expr):
     """Plain float evaluation, x -> f(x)."""
 
     def value(x):
-        return _jet(expr, float(x), 0)[0]
+        return expr.compiled.jet(float(x), 0)[0]
 
     return value
 

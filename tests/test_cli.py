@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hermquad.cli import main
-from hermquad.expressions import MAX_NESTING
+from hermquad.expressions import MAX_CONSTANT_BITS, MAX_LITERAL_DIGITS, MAX_NESTING
 from hermquad.weights import HermiteRule, compute_weights
 
 
@@ -268,6 +268,53 @@ class TestNestingLimit:
         )
         assert code == 1
         assert f"nests deeper than {MAX_NESTING} levels (at position" in err
+
+
+class TestSizeLimits:
+    """Literals and folded constants too large for exact arithmetic fail with a reason."""
+
+    @pytest.mark.parametrize("fn,subexpr", [
+        ("x^((7^100000)^30)", "((7 ^ 100000) ^ 30)"),
+        ("x^((7^100000)^1000000)", "((7 ^ 100000) ^ 1000000)"),
+        ("(7^100000)^30*x", "((7 ^ 100000) ^ 30)"),
+        ("(10^400000)^0*x", "(10 ^ 400000)"),
+    ])
+    def test_wide_constant_exits_2(self, capsys, fn, subexpr):
+        code, _, err = run(capsys, "integrate", "--n", "2", "--a", "1", "--b", "2", "--fn", fn)
+        assert code == 2
+        assert err.strip() == (
+            f"hermquad: numerical failure: exact constant wider than {MAX_CONSTANT_BITS} bits"
+            f" in '{subexpr}'"
+        )
+
+    def test_huge_integer_exponent_exits_2(self, capsys):
+        code, _, err = run(capsys, "integrate", "--n", "2", "--a", "1", "--b", "2", "--fn", "x^(10^5000)")
+        assert code == 2
+        assert err.strip() == (
+            "hermquad: numerical failure: integer exponent exceeds 1048576 in magnitude"
+            " in '(x ^ (10 ^ 5000))'"
+        )
+
+    @pytest.mark.parametrize("fn,position", [
+        ("1e10000000*x", 0),
+        ("x+" + "1" * 5000, 2),
+        ("x*1e" + "9" * 5000, 2),
+    ])
+    def test_long_literal_exits_1_with_position(self, capsys, fn, position):
+        code, _, err = run(capsys, "integrate", "--n", "2", "--a", "1", "--b", "2", "--fn", fn)
+        assert code == 1
+        assert err.strip() == (
+            f"hermquad: error: number literal exceeds {MAX_LITERAL_DIGITS} digits"
+            f" (at position {position})"
+        )
+
+    def test_literals_within_the_limit_keep_their_behaviour(self, capsys):
+        code, _, err = run(capsys, "integrate", "--n", "2", "--a", "1", "--b", "2", "--fn", "1e4000*x")
+        assert code == 2 and "numerical failure" in err
+        code, out, _ = run(capsys, "integrate", "--n", "2", "--a", "1", "--b", "2",
+                           "--fn", "x^(1e4000/1e3999)", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["reference"] == pytest.approx(2047 / 11, rel=1e-12)
 
 
 class TestUsageErrors:

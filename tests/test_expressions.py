@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermquad import expressions
 from hermquad.expressions import (
     BinOp,
     Call,
     EvalDomainError,
+    MAX_CONSTANT_BITS,
     MAX_JET_ORDER,
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     Num,
     ParseError,
     Var,
-    constant_value,
     derivative_function,
     evaluator,
     jet_eval,
@@ -107,6 +109,26 @@ class TestParse:
         assert parse("x+x+x").height == 3
         assert parse("-sin(x)^2").height == 4
 
+    @pytest.mark.parametrize("text", [
+        "1" * MAX_LITERAL_DIGITS, f"1e{MAX_LITERAL_DIGITS - 1}", f"1e-{MAX_LITERAL_DIGITS - 1}",
+        f"0.5e-{MAX_LITERAL_DIGITS - 2}", "1e0000004299", "1E+4299",
+    ])
+    def test_literal_at_the_limit(self, text):
+        node = parse(text)
+        assert isinstance(node, Num) and node.value == Fraction(text)
+
+    @pytest.mark.parametrize("text,position", [
+        ("1" * (MAX_LITERAL_DIGITS + 1), 0),
+        (f"x+1e{MAX_LITERAL_DIGITS}", 2),
+        (f"x*1e-{MAX_LITERAL_DIGITS}", 2),
+        (f"(0.5e-{MAX_LITERAL_DIGITS - 1})", 1),
+        ("2^1e" + "9" * 5000, 2),
+    ])
+    def test_literal_beyond_the_limit(self, text, position):
+        with pytest.raises(ParseError, match=f"number literal exceeds {MAX_LITERAL_DIGITS} digits") as err:
+            parse(text)
+        assert err.value.position == position
+
     def test_decimal_literals_exact(self):
         node = parse("0.1")
         assert isinstance(node, Num)
@@ -178,14 +200,78 @@ class TestConstantFolding:
         ("-(2/3)^3", Fraction(-8, 27)),
     ])
     def test_exact_rationals_fold(self, text, value):
-        folded = constant_value(parse(text))
+        folded = parse(text).compiled.exact
         assert type(folded) is Fraction and folded == value
 
     @pytest.mark.parametrize("text", [
         "x", "pi", "sin(1)", "2^0.5", "(-8)^(1/3)", "1/0", "0^-1", "2^(2^30)", "x-x",
     ])
     def test_everything_else_is_left_to_the_jets(self, text):
-        assert constant_value(parse(text)) is None
+        assert parse(text).compiled.exact is None
+
+    def test_wide_power_is_not_built(self):
+        assert parse("7^100000").compiled.exact == Fraction(7) ** 100000
+        assert parse("(7^100000)^30").compiled.exact is None
+        assert parse("2^(2^20)").compiled.exact is None
+        assert parse("(-1)^(2^20)").compiled.exact == 1
+        assert parse("0^(2^20)").compiled.exact == 0
+
+    def test_wide_chain_is_not_built(self):
+        # 7^300000 has 842207 bits: one fits the budget, two operands of it do not.
+        big = "(7^300000)"
+        assert parse(f"{big}+3").compiled.exact == Fraction(7) ** 300000 + 3
+        for op in "+-*/":
+            assert parse(f"{big}{op}{big}").compiled.exact is None
+
+    @pytest.mark.parametrize("text,subexpr", [
+        ("(7^100000)^30*x", "((7 ^ 100000) ^ 30)"),
+        ("x^((7^100000)^30)", "((7 ^ 100000) ^ 30)"),
+        ("(10^400000)^0*x", "(10 ^ 400000)"),
+        ("sin((7^300000)/(5^300000))", "((7 ^ 300000) / (5 ^ 300000))"),
+    ])
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_wide_constant_is_a_domain_error(self, text, subexpr, m):
+        with pytest.raises(EvalDomainError) as err:
+            jet_eval(parse(text), 1.5, m)
+        assert str(err.value) == f"exact constant wider than {MAX_CONSTANT_BITS} bits in '{subexpr}'"
+
+    def test_errors_of_the_node_itself_come_first(self):
+        # 2^(10^400) is too wide, but its exponent is already too large for the jets.
+        with pytest.raises(EvalDomainError, match=r"^integer exponent exceeds 1048576 in magnitude in '\(2 \^"):
+            jet_eval(parse("2^(10^400)+x"), 1.5, 2)
+        # log(-x) in the base is met before the wide exponent.
+        with pytest.raises(EvalDomainError, match="^log of a non-positive value"):
+            jet_eval(parse("log(-x)^((7^100000)^30)"), 1.5, 2)
+
+    def test_integer_exponent_message_has_no_digits(self):
+        with pytest.raises(EvalDomainError) as err:
+            jet_eval(parse("x^(10^5000)"), 1.5, 2)
+        assert str(err.value) == "integer exponent exceeds 1048576 in magnitude in '(x ^ (10 ^ 5000))'"
+
+
+class TestCompileOnce:
+    def test_repeated_evaluation_reuses_one_compiled_form(self, monkeypatch):
+        roots = []
+        compile_ = expressions._compile
+
+        def counting(node):
+            if node is expr:
+                roots.append(node)
+            return compile_(node)
+
+        monkeypatch.setattr(expressions, "_compile", counting)
+        expr = parse("exp(x)*sin(2*x)+x^(3/2)")
+        compiled = expr.compiled
+        f = evaluator(expr)
+        jets = jet_provider(expr)
+        d2 = derivative_function(expr, 2)
+        for x in (0.5, 0.75, 1.25):
+            jet_eval(expr, x, 4)
+            f(x)
+            jets(x, 3)
+            d2(x)
+        assert len(roots) == 1
+        assert expr.compiled is compiled
 
 
 class TestFiniteDifferenceCrossCheck:

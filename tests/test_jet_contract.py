@@ -2,7 +2,8 @@
 
 ``tests/data/jet_contract.json`` holds, for every (expression, x0, m) case
 below, the jet coefficients as ``float.hex`` strings or the exception type
-and message.  It was recorded before the constant folder became exact-only;
+and message.  Its first part was recorded before the constant folder became
+exact-only, and the ``SHAPES`` part before expressions were compiled once;
 regenerate it from a checkout with
 
     PYTHONPATH=src python tests/test_jet_contract.py > tests/data/jet_contract.json
@@ -48,6 +49,23 @@ EXPRESSIONS = FACTORS + CORPUS + KNOWN_DEFECTS + CONSTANTS + RATIONAL_EXPONENTS 
 POINTS = (0.7, 1.3, -0.4)
 ORDERS = (0, 3, 12)
 
+#: Precedence of "^" and unary minus, exponents that fold (or do not) to an
+#: exact integer or rational, zero and negative bases, and expressions with
+#: two faults, where the one met first in evaluation order must surface.
+SHAPES = (
+    "2^x^2", "x^2^-1", "x^-2^2", "-x^2",
+    "x^(6/3)", "x^((-2)^2)", "x^(2^2^-1*4)", "x^(pi/2)", "x^log(2)", "x^(2^20)",
+    "(x-x)^-1", "1/(x-x)", "(-x)^0.5", "(-x)^x",
+    "log(-x)^sqrt(-x)", "sqrt(-x)+log(-x)", "log(-x)+1e400", "1e400+log(-x)",
+    "x^(1e400/1e399)", "x^(1/(1-1))", "(x^2)^(1/2)", "sin(x)^cos(x)",
+)
+SHAPE_POINTS = POINTS + (0.0,)
+
+CASES = (
+    [(t, x0, m) for t in EXPRESSIONS for x0 in POINTS for m in ORDERS]
+    + [(t, x0, m) for t in SHAPES for x0 in SHAPE_POINTS for m in ORDERS]
+)
+
 #: Before the exponent rules were unified, a variable exponent on a
 #: non-positive base had a message of its own.
 RENAMED_MESSAGES = {
@@ -61,7 +79,7 @@ def record(text, x0, m) -> dict:
     entry = {"fn": text, "x0": x0, "m": m}
     try:
         entry["jet"] = [t.hex() for t in jet_eval(parse(text), x0, m).coeffs]
-    except ValueError as exc:  # domain and parse errors are part of the contract
+    except (ValueError, OverflowError) as exc:  # errors are part of the contract
         entry["error"] = type(exc).__name__
         entry["message"] = str(exc)
     return entry
@@ -77,7 +95,7 @@ CONTRACT = json.loads((Path(__file__).parent / "data" / "jet_contract.json").rea
 
 def test_contract_covers_every_case():
     recorded = [(e["fn"], e["x0"], e["m"]) for e in CONTRACT]
-    assert recorded == [(t, x0, m) for t in EXPRESSIONS for x0 in POINTS for m in ORDERS]
+    assert recorded == CASES
 
 
 @pytest.mark.parametrize("want", CONTRACT, ids=lambda e: f"{e['fn']}@{e['x0']}/{e['m']}")
@@ -125,5 +143,5 @@ class TestExponentRules:
 
 
 if __name__ == "__main__":
-    cases = [record(t, x0, m) for t in EXPRESSIONS for x0 in POINTS for m in ORDERS]
+    cases = [record(t, x0, m) for t, x0, m in CASES]
     print("[\n" + ",\n".join(json.dumps(case) for case in cases) + "\n]")
