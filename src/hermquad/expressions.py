@@ -111,9 +111,14 @@ class Num(Expr):
     value: Fraction
 
     def unparse(self):
-        if self.value.denominator == 1:
-            return str(self.value.numerator)
-        return str(float(self.value))
+        value = self.value
+        if value.denominator == 1:
+            return str(value.numerator)
+        try:
+            return str(float(value))
+        except OverflowError:
+            # Beyond the double range: exact, parenthesized like a quotient.
+            return f"({value.numerator} / {value.denominator})"
 
 
 @dataclass(frozen=True, repr=False)

@@ -97,10 +97,14 @@ def build_hermite(pair: JetPair) -> Polynomial:
     xb = Polynomial((-pair.b, 1))
     sum_b = Polynomial()
     sum_a = Polynomial()
+    # Running powers: pb = (x-b)^k and pa = (x-a)^k, reaching k = n at the end.
+    pb = pa = Polynomial((1,))
     for k in range(n):
         inv_kfact = Fraction(1, math.factorial(k))
-        sum_b = sum_b + xb ** k * (coeffs_b[k] * inv_kfact)
-        sum_a = sum_a + xa ** k * (coeffs_a[k] * inv_kfact)
-    result = xa ** n * sum_b + xb ** n * sum_a
+        sum_b = sum_b + pb * (coeffs_b[k] * inv_kfact)
+        sum_a = sum_a + pa * (coeffs_a[k] * inv_kfact)
+        pb = pb * xb
+        pa = pa * xa
+    result = pa * sum_b + pb * sum_a
     assert result.degree <= 2 * n - 1
     return result

@@ -16,8 +16,17 @@ K_n three independent ways and cross-checks are left to the caller:
   degree-2n polynomial equal to (x-a)^n (x-b)^n / (2n)!, which must also
   equal the n-th antiderivative of K_n (``antiderivative_chain``).
 
-Kernel sets are cached per exact (n, a, b) triple since the CLI and the
-bound estimators query the same kernels repeatedly.
+Every interval is an affine image of [0, 1].  With x = a + h t and
+h = b - a, (x-a)^n (x-b)^n = h^(2n) t^n (t-1)^n, so each member of the
+chain satisfies K^(k)_[a,b](x) = h^(n+k) K^(k)_[0,1](t).  Hence
+
+    integral(|K^(k)|) over [a, b] = h^(n+k+1) C(n, k)
+    integral((K^(k))^2) over [a, b] = h^(2n+2k+1) L(n, k)
+
+with C and L taken on [0, 1].  ``kernel_set`` keeps one [0, 1] set per
+order, with its constants filled per k on first use; a set on any other
+interval builds its exact polynomials only when they are read and keeps
+them only as long as the set itself.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exactmath import Polynomial, X, rational, rational_interval
 from .weights import HermiteRule, _check_order, compute_weights
@@ -75,15 +84,36 @@ class KernelSet:
 
     ``antiderivatives[j-1]`` is the j-th repeated integral of the kernel
     from a; every entry vanishes at both endpoints and the last equals
-    (x-a)^n (x-b)^n / (2n)!.
+    (x-a)^n (x-b)^n / (2n)!.  ``params``, ``kernel`` and ``antiderivatives``
+    are built on first read.  The norms of the chain members are the
+    [0, 1] constants of the order scaled by powers of h = b - a.
     """
 
     n: int
     a: Fraction
     b: Fraction
-    kernel: Polynomial
-    antiderivatives: tuple
-    params: KernelParams
+
+    def __post_init__(self):
+        _check_order(self.n)
+        a, b = rational_interval(self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def h(self) -> Fraction:
+        return self.b - self.a
+
+    @cached_property
+    def params(self) -> KernelParams:
+        return solve_params(self.n, self.a, self.b)
+
+    @cached_property
+    def kernel(self) -> Polynomial:
+        return kernel_from_params(self.params)
+
+    @cached_property
+    def antiderivatives(self) -> tuple:
+        return antiderivative_chain(self.kernel, self.a, self.n)
 
     def member(self, k: int) -> Polynomial:
         """K^(k): the kernel for k = 0, its k-th repeated integral for 1 <= k <= n."""
@@ -91,11 +121,13 @@ class KernelSet:
             raise ValueError(f"chain index must be in 0..{self.n}, got {k}")
         return self.antiderivatives[k - 1] if k else self.kernel
 
-    def l2sq(self) -> Fraction:
-        return kernel_l2sq(self.kernel, self.a, self.b)
+    def l2sq(self, k: int = 0) -> Fraction:
+        """Exact integral of (K^(k))^2 over [a, b]: h^(2n+2k+1) L(n, k)."""
+        return _unit(self.n).l2sq(k) * self.h ** (2 * (self.n + k) + 1)
 
-    def abs_integral(self) -> float:
-        return kernel_abs_integral(self.kernel, self.a, self.b)
+    def abs_integral(self, k: int = 0) -> float:
+        """Integral of |K^(k)| over [a, b]: h^(n+k+1) C(n, k), rounded once."""
+        return float(_unit(self.n).abs_integral(k) * self.h ** (self.n + k + 1))
 
     def to_json_dict(self) -> dict:
         from .exactmath import format_rational
@@ -187,12 +219,13 @@ def peano_kernel(n: int, a, b, rule: HermiteRule) -> Polynomial:
     if rule.n != n or rule.a != a or rule.b != b:
         raise ValueError("rule does not match the requested kernel (n, a, b)")
     bx = Polynomial((b, -1))
-    result = bx ** (2 * n) / math.factorial(2 * n)
-    for k in range(n):
-        result = result - bx ** (2 * n - 1 - k) * (
-            rule.w_b[k] / math.factorial(2 * n - 1 - k)
-        )
-    return result
+    # Running power (b-x)^j for j = 2n-1-k, from n up to 2n.
+    power = bx ** n
+    result = Polynomial()
+    for j in range(n, 2 * n):
+        result = result - power * (rule.w_b[2 * n - 1 - j] / math.factorial(j))
+        power = power * bx
+    return result + power / math.factorial(2 * n)
 
 
 def kernel_l2sq(kernel: Polynomial, a, b) -> Fraction:
@@ -269,8 +302,12 @@ def kernel_abs_integral(kernel: Polynomial, a, b) -> float:
     alternate, which would indicate missed sign changes.
     """
     a, b = rational_interval(a, b)
+    return float(_abs_integral_exact(kernel, a, b))
+
+
+def _abs_integral_exact(kernel: Polynomial, a: Fraction, b: Fraction) -> Fraction:
     if kernel.is_zero():
-        return 0.0
+        return Fraction(0)
     cuts = [a] + _isolate_roots_exact(kernel, a, b) + [b]
     anti = kernel.antiderivative(a)
     total = Fraction(0)
@@ -287,17 +324,44 @@ def kernel_abs_integral(kernel: Polynomial, a, b) -> float:
             )
         previous_sign = sign
         total += abs(segment)
-    return float(total)
+    return total
 
 
-@lru_cache(maxsize=256)
-def _kernel_set_cached(n: int, a: Fraction, b: Fraction) -> KernelSet:
-    params = solve_params(n, a, b)
-    kern = kernel_from_params(params)
-    chain = antiderivative_chain(kern, a, n)
-    return KernelSet(n=n, a=a, b=b, kernel=kern, antiderivatives=chain, params=params)
+class _UnitKernel:
+    """The [0, 1] kernel set of one order and its exact chain constants.
+
+    C(n, k) = integral of |K^(k)| and L(n, k) = integral of (K^(k))^2 over
+    [0, 1], each computed on first request.  C is exact up to the root
+    brackets of ``kernel_abs_integral``.
+    """
+
+    def __init__(self, n: int):
+        self.set = KernelSet(n, Fraction(0), Fraction(1))
+        self._abs = {}
+        self._l2sq = {}
+
+    def abs_integral(self, k: int) -> Fraction:
+        if k not in self._abs:
+            self._abs[k] = _abs_integral_exact(self.set.member(k), self.set.a, self.set.b)
+        return self._abs[k]
+
+    def l2sq(self, k: int) -> Fraction:
+        if k not in self._l2sq:
+            self._l2sq[k] = kernel_l2sq(self.set.member(k), self.set.a, self.set.b)
+        return self._l2sq[k]
+
+
+#: One [0, 1] kernel per order; every other interval scales it.
+_unit = lru_cache(maxsize=64)(_UnitKernel)
 
 
 def kernel_set(n: int, a, b) -> KernelSet:
-    """The matched kernel and its antiderivative chain, cached per (n, a, b)."""
-    return _kernel_set_cached(n, rational(a), rational(b))
+    """The matched kernel and its antiderivative chain on [a, b].
+
+    Cheap: the exact polynomials are built when read.  On [0, 1] this is
+    the order's cached set.
+    """
+    ks = KernelSet(n, a, b)
+    if ks.a == 0 and ks.b == 1:
+        return _unit(n).set
+    return ks

@@ -8,7 +8,9 @@ so it can serve as an impartial referee for their errors.
 Non-finite integrand samples (inf/nan, e.g. at an integrable endpoint or
 interior singularity) taint a panel: tainted panels are forced to split
 until the depth limit, after which the non-finite samples count as zero
-and the panel width is charged to the error estimate.
+and the panel width is charged to the error estimate.  A panel with no
+finite sample at all is not split: its error estimate is infinite, so the
+result is unconverged.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ _WG = (
 )
 _WG_CENTER = 0.417959183673469387755102040816327
 
+#: Integrand samples per panel.
+_SAMPLES = 2 * len(_XGK) + 1
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -89,16 +94,16 @@ _NOISE_FACTOR = 50.0 * 2.220446049250313e-16
 
 
 def _panel(f, lo: float, hi: float):
-    """One embedded evaluation: (kronrod, gauss, kronrod of |f|, tainted)."""
+    """One embedded evaluation: (kronrod, gauss, kronrod of |f|, non-finite samples)."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    tainted = False
+    bad = 0
 
     def sample(x):
-        nonlocal tainted
+        nonlocal bad
         v = float(f(x))
         if not math.isfinite(v):
-            tainted = True
+            bad += 1
             return 0.0
         return v
 
@@ -114,16 +119,20 @@ def _panel(f, lo: float, hi: float):
         kron_abs += _WGK[i] * (abs(left) + abs(right))
         if i % 2 == 1:
             gauss += _WG[i // 2] * (left + right)
-    return half * kron, half * gauss, half * kron_abs, tainted
+    return half * kron, half * gauss, half * kron_abs, bad
 
 
-def _refine(f, lo, hi, kron, gauss, kron_abs, tainted, budget, depth, cfg):
+def _refine(f, lo, hi, kron, gauss, kron_abs, bad, budget, depth, cfg):
+    if bad == _SAMPLES:
+        # Nothing is known of f here, and splitting a region where f is
+        # non-finite everywhere would run every branch to the depth limit.
+        return kron, math.inf, 1
     err = abs(kron - gauss)
-    if tainted:
+    if bad:
         err = max(err, hi - lo)
     floor = max(budget, _NOISE_FACTOR * kron_abs)
     too_thin = (hi - lo) <= 1e-15 * max(abs(lo), abs(hi), 1.0)
-    if depth >= cfg.max_depth or too_thin or (err <= floor and not tainted):
+    if depth >= cfg.max_depth or too_thin or (err <= floor and not bad):
         return kron, err, 1
     mid = 0.5 * (lo + hi)
     lk, lg, la, lt = _panel(f, lo, mid)
@@ -150,8 +159,8 @@ def reference_integrate(f, a, b, cfg: OracleConfig | None = None) -> IntegralRes
     if a > b:
         a, b = b, a
         sign = -1.0
-    kron, gauss, kron_abs, tainted = _panel(f, a, b)
+    kron, gauss, kron_abs, bad = _panel(f, a, b)
     budget = max(cfg.abs_tol, cfg.rel_tol * abs(kron))
-    value, err, panels = _refine(f, a, b, kron, gauss, kron_abs, tainted, budget, 0, cfg)
+    value, err, panels = _refine(f, a, b, kron, gauss, kron_abs, bad, budget, 0, cfg)
     converged = err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return IntegralResult(sign * value, err, converged, panels)

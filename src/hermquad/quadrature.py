@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 from .exactmath import rational
-from .kernel import KernelSet, kernel_abs_integral, kernel_l2sq, kernel_set
+from .kernel import KernelSet, kernel_set
 from .oracle import ConvergenceError, OracleConfig, reference_integrate
 from .weights import apply_rule, compute_weights, omega_coeffs
 
@@ -212,10 +212,9 @@ def _l2_deviation(samples, a: float, b: float) -> float:
     return math.sqrt(max(_trapezoid(squares, a, b), 0.0))
 
 
-def _bound_member(kernel: KernelSet, k: int):
+def _check_bound_index(kernel: KernelSet, k: int) -> None:
     if not 0 <= k < kernel.n:
         raise ValueError(f"bounds need 0 <= k <= n-1 = {kernel.n - 1}, got k = {k}")
-    return kernel.member(k)
 
 
 def bound_uniform(f_n_samples, kernel: KernelSet, *, k: int = 0) -> float:
@@ -225,8 +224,8 @@ def bound_uniform(f_n_samples, kernel: KernelSet, *, k: int = 0) -> float:
     K^(k+1)(a) = 0, so subtracting the midrange from f^(n+k) leaves the
     error unchanged.
     """
-    member = _bound_member(kernel, k)
-    return _spread_half(f_n_samples) * kernel_abs_integral(member, kernel.a, kernel.b)
+    _check_bound_index(kernel, k)
+    return _spread_half(f_n_samples) * kernel.abs_integral(k)
 
 
 def bound_l2(f_n_samples, kernel: KernelSet, k: int = 0) -> float:
@@ -235,12 +234,10 @@ def bound_l2(f_n_samples, kernel: KernelSet, k: int = 0) -> float:
     Samples must lie on a uniform grid over [a, b] including both endpoints.
     Needs 0 <= k <= n-1, as ``bound_uniform`` explains.
     """
-    member = _bound_member(kernel, k)
+    _check_bound_index(kernel, k)
     a = float(kernel.a)
     b = float(kernel.b)
-    return _l2_deviation(f_n_samples, a, b) * math.sqrt(
-        float(kernel_l2sq(member, kernel.a, kernel.b))
-    )
+    return _l2_deviation(f_n_samples, a, b) * math.sqrt(float(kernel.l2sq(k)))
 
 
 def e2_bound_f3(f3_samples, kernel: KernelSet) -> BoundPair:
@@ -283,9 +280,9 @@ def refined_bounds(f_deriv, kernel: KernelSet, count: int = 257, k: int = 0):
     than 1%.  Returns (uniform, l2, stable) of the finer grid.  Needs
     0 <= k <= n-1, as ``bound_uniform`` explains.
     """
-    member = _bound_member(kernel, k)
-    abs_integral = kernel_abs_integral(member, kernel.a, kernel.b)
-    l2_norm = math.sqrt(float(kernel_l2sq(member, kernel.a, kernel.b)))
+    _check_bound_index(kernel, k)
+    abs_integral = kernel.abs_integral(k)
+    l2_norm = math.sqrt(float(kernel.l2sq(k)))
     a = float(kernel.a)
     b = float(kernel.b)
     fine = sample_uniform(f_deriv, a, b, 2 * count - 1)

@@ -17,6 +17,7 @@ from .kernel import (
     antiderivative_chain,
     isolate_roots,
     kernel_from_params,
+    kernel_set,
     peano_kernel,
     rodrigues_kernel,
     solve_params,
@@ -82,6 +83,13 @@ def run_checks(n: int, a=0, b=1) -> list:
 
     rod = rodrigues_kernel(n, a, b)
     checks.append(Check("matched kernel equals its Rodrigues form", kern == rod))
+    unit = kernel_set(n, 0, 1).kernel
+    checks.append(
+        Check(
+            "kernel is the image of [0, 1]: K(x) = h^n K_[0,1]((x-a)/h)",
+            kern == unit.compose_affine(-a / width, 1 / width) * width ** n,
+        )
+    )
     checks.append(
         Check(
             "kernel leading coefficient is 1/n!",

@@ -295,6 +295,15 @@ class TestSizeLimits:
             " in '(x ^ (10 ^ 5000))'"
         )
 
+    def test_huge_fractional_literal_is_named_in_the_message(self, capsys):
+        fn = "x^(" + "9" * 400 + ".5*2)"
+        code, _, err = run(capsys, "integrate", "--n", "2", "--a", "1", "--b", "2", "--fn", fn)
+        assert code == 2
+        assert err.strip() == (
+            "hermquad: numerical failure: integer exponent exceeds 1048576 in magnitude"
+            f" in '(x ^ (({2 * 10 ** 400 - 1} / 2) * 2))'"
+        )
+
     @pytest.mark.parametrize("fn,position", [
         ("1e10000000*x", 0),
         ("x+" + "1" * 5000, 2),
@@ -315,6 +324,15 @@ class TestSizeLimits:
                            "--fn", "x^(1e4000/1e3999)", "--format", "json")
         assert code == 0
         assert json.loads(out)["reference"] == pytest.approx(2047 / 11, rel=1e-12)
+
+
+class TestNonFiniteIntegrand:
+    def test_overflow_everywhere_exits_2_at_once(self, capsys):
+        # Every reference sample is infinite; this once split panels to the
+        # depth limit (about 2^49 of them) instead of ending.
+        code, _, err = run(capsys, "integrate", "--n", "2", "--a", "0", "--b", "1", "--fn", "10^400*x")
+        assert code == 2
+        assert "did not converge" in err
 
 
 class TestUsageErrors:

@@ -77,6 +77,15 @@ class TestParse:
         with pytest.raises(ParseError, match="trailing"):
             parse("x 2")
 
+    def test_unparse_of_literals(self):
+        assert parse("2.5*x").unparse() == "(2.5 * x)"
+        assert parse("1e300*x").unparse() == "(1" + "0" * 300 + " * x)"
+        assert parse("1.5e-300").unparse() == "1.5e-300"
+        # Beyond the double range a non-integer literal is written exactly.
+        huge = parse("9" * 400 + ".5")
+        assert huge.unparse() == f"({2 * 10 ** 400 - 1} / 2)"
+        assert parse(huge.unparse()).compiled.exact == huge.compiled.exact
+
     def test_whitespace_insensitive(self):
         assert parse(" x ^ 2 + 1 ") == parse("x^2+1")
 

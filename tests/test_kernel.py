@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermquad import kernel
 from hermquad.exactmath import Polynomial, X
 from hermquad.kernel import (
     RootIsolationError,
@@ -225,3 +226,78 @@ class TestKernelSetCache:
             "coeffs": ["1/12", "-1/2", "1/2"],
             "params": {"c": "-1/2", "deltas": ["-1/24"]},
         }
+
+
+class TestAffineImage:
+    """Every interval's chain is the [0, 1] chain of the order, scaled."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=12), st.data(), intervals())
+    def test_norms_and_members_scale_from_the_unit_interval(self, n, data, interval):
+        k = data.draw(st.integers(min_value=0, max_value=n - 1))
+        a, b = interval
+        h = b - a
+        ks = kernel_set(n, a, b)
+        member = ks.member(k)
+        unit_member = kernel_set(n, 0, 1).member(k)
+        assert member == unit_member.compose_affine(-a / h, 1 / h) * h ** (n + k)
+        assert ks.l2sq(k) == kernel_l2sq(member, a, b)
+        assert ks.abs_integral(k) == pytest.approx(
+            kernel_abs_integral(member, a, b), rel=1e-13
+        )
+
+    def test_unit_interval_values_are_the_constants(self):
+        for n in range(1, 7):
+            ks = kernel_set(n, 0, 1)
+            for k in range(n + 1):
+                member = ks.member(k)
+                assert ks.abs_integral(k) == kernel_abs_integral(member, 0, 1)
+                assert ks.l2sq(k) == kernel_l2sq(member, 0, 1)
+
+    def test_second_interval_isolates_no_roots(self, monkeypatch):
+        calls = []
+        real = kernel._isolate_roots_exact
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "_isolate_roots_exact", counted)
+        kernel._unit.cache_clear()
+        first = kernel_set(5, Fraction(1, 3), Fraction(7, 2))
+        first.abs_integral(0)
+        first.abs_integral(2)
+        assert len(calls) == 2
+        second = kernel_set(5, Fraction(-9, 4), Fraction(6, 5))
+        second.abs_integral(0)
+        second.abs_integral(2)
+        assert len(calls) == 2
+
+    def test_sets_off_the_unit_interval_are_not_retained(self):
+        a, b = Fraction(2, 7), Fraction(13, 5)
+        assert kernel_set(4, a, b) is not kernel_set(4, a, b)
+        assert kernel_set(4, a, b) == kernel_set(4, a, b)
+
+    def test_exact_polynomials_are_built_on_first_read(self):
+        ks = kernel_set(3, Fraction(1, 2), Fraction(9, 4))
+        assert {"params", "kernel", "antiderivatives"}.isdisjoint(vars(ks))
+        ks.abs_integral(1)
+        ks.l2sq(2)
+        assert {"params", "kernel", "antiderivatives"}.isdisjoint(vars(ks))
+        assert ks.member(2) == ks.antiderivatives[1]
+        assert {"params", "kernel", "antiderivatives"} <= set(vars(ks))
+
+    def test_sign_check_still_raises(self, monkeypatch):
+        # K_2's two roots replaced by the midpoint: both segments are negative.
+        monkeypatch.setattr(kernel, "_isolate_roots_exact", lambda poly, a, b: [(a + b) / 2])
+        kernel._unit.cache_clear()
+        with pytest.raises(RootIsolationError):
+            kernel_set(2, Fraction(1, 3), 2).abs_integral()
+
+    def test_rejects_bad_order_and_interval(self):
+        with pytest.raises(ValueError):
+            kernel_set(0, 0, 1)
+        with pytest.raises(ValueError):
+            kernel_set(2, 1, 1)
+        with pytest.raises(ValueError):
+            kernel_set(2, 0, 1).abs_integral(3)

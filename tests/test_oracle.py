@@ -108,6 +108,27 @@ class TestReferenceIntegrate:
         )
         assert not res.converged
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_no_finite_sample_stops_at_once(self, value):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return value
+
+        res = reference_integrate(f, 0.0, 1.0)
+        assert not res.converged
+        assert res.err_estimate == math.inf
+        assert (res.value, res.panels, len(calls)) == (0.0, 1, 15)
+
+    def test_void_region_is_unconverged_not_endless(self):
+        # Finite on [0, 1/2], overflowing beyond: the void panels end the
+        # refinement there instead of splitting to the depth limit.
+        res = reference_integrate(lambda x: 1.0 if x <= 0.5 else math.inf, 0.0, 1.0)
+        assert not res.converged
+        assert res.err_estimate == math.inf
+        assert res.panels < 1000
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(abs_tol=0.0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermquad import quadrature
+from hermquad import kernel
 from hermquad.exactmath import Polynomial, X
 from hermquad.expressions import derivative_function, evaluator, jet_provider, parse
 from hermquad.kernel import kernel_set
@@ -274,14 +274,17 @@ class TestErrorEngine:
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_refined_bounds_samples_and_integrates_once(self, monkeypatch, k):
-        abs_calls = []
-        real = quadrature.kernel_abs_integral
+        # |K^(k)| is integrated once per (n, k) on [0, 1]: a cold order
+        # isolates roots once, and a warm one on another interval not at all.
+        isolations = []
+        real = kernel._isolate_roots_exact
 
         def counted(*args):
-            abs_calls.append(args)
+            isolations.append(args)
             return real(*args)
 
-        monkeypatch.setattr(quadrature, "kernel_abs_integral", counted)
+        monkeypatch.setattr(kernel, "_isolate_roots_exact", counted)
+        kernel._unit.cache_clear()
         points = []
 
         def f(x):
@@ -290,7 +293,10 @@ class TestErrorEngine:
 
         refined_bounds(f, kernel_set(3, 0, 1), 33, k=k)
         assert len(points) == 2 * 33 - 1
-        assert len(abs_calls) == 1
+        assert len(isolations) == 1
+        refined_bounds(f, kernel_set(3, Fraction(-2, 3), Fraction(5, 4)), 33, k=k)
+        assert len(points) == 2 * (2 * 33 - 1)
+        assert len(isolations) == 1
 
     @pytest.mark.parametrize("count", [5, 257])
     def test_refined_bounds_match_two_separate_grids(self, count):
