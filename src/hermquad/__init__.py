@@ -59,15 +59,7 @@ from .quadrature import (
     sample_uniform,
 )
 from .verify import Check, run_checks
-from .weights import (
-    DEFAULT_ORDER_CAP,
-    HermiteRule,
-    ORDER_CAP_ENV,
-    apply_rule,
-    compute_weights,
-    omega_coeffs,
-    order_cap,
-)
+from .weights import HermiteRule, apply_rule, compute_weights, omega_coeffs
 
 __version__ = "0.1.0"
 
@@ -83,9 +75,6 @@ __all__ = [
     "compute_weights",
     "omega_coeffs",
     "apply_rule",
-    "order_cap",
-    "DEFAULT_ORDER_CAP",
-    "ORDER_CAP_ENV",
     "JetPair",
     "leibniz_coeffs",
     "build_hermite",

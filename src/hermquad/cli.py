@@ -76,8 +76,8 @@ def _parse_panel_counts(text: str) -> list:
 
 
 def _oracle_config(tol: float) -> OracleConfig:
-    if tol <= 0:
-        raise _UsageError("--tol must be positive")
+    if not 0 < tol < math.inf:
+        raise _UsageError("--tol must be finite and positive")
     return OracleConfig(abs_tol=tol, rel_tol=tol)
 
 
@@ -132,8 +132,9 @@ def _cmd_kernel(args) -> int:
     else:
         print(f"error kernel, order n = {ks.n} on [{format_rational(a)}, {format_rational(b)}]")
         print(f"  K(x) = {ks.kernel}")
-        print(f"  c = {format_rational(ks.params.c)}")
-        for i, d in enumerate(ks.params.deltas):
+        params = ks.params
+        print(f"  c = {format_rational(params.c)}")
+        for i, d in enumerate(params.deltas):
             print(f"  delta_{i} = {format_rational(d)}")
         print(f"  integral(K^2) = {format_rational(ks.l2sq())}")
         print(f"  integral(|K|) ~ {ks.abs_integral():.15g}")
@@ -146,6 +147,12 @@ def _float_path_inputs(args):
     b = _parse_endpoint(args.b, allow_pi=True)
     if a >= b:
         raise _UsageError("endpoints must satisfy a < b")
+    try:
+        lo, hi = float(a), float(b)
+    except OverflowError:
+        raise _UsageError("endpoints must lie within the double range") from None
+    if lo == hi:
+        raise _UsageError(f"endpoints must be distinct doubles; both round to {lo!r}")
     return a, b, parse(args.fn), _oracle_config(args.tol)
 
 

@@ -21,7 +21,8 @@ jet functions.  Exponents that fold to an exact integer use binary
 exponentiation on jets; every other exponent goes through
 exp(e * log(base)), restricted to positive bases.  A literal longer than
 MAX_LITERAL_DIGITS is a ParseError; a folded constant wider than
-MAX_CONSTANT_BITS bits is an EvalDomainError when it is evaluated.
+MAX_CONSTANT_BITS bits, and a literal or rational exponent beyond the
+double range, is an EvalDomainError when it is evaluated.
 """
 
 from __future__ import annotations
@@ -478,28 +479,43 @@ class Compiled(NamedTuple):
     exact: Fraction | None  # the value, when the expression is an exact rational
 
 
+def _double(value: Fraction, node) -> Callable:
+    """A call returning ``value`` as a double, converted once; beyond the
+    double range the call raises a domain error naming ``node``."""
+    try:
+        number = float(value)
+    except OverflowError:
+        def beyond():
+            raise EvalDomainError("constant beyond the double range", node)
+
+        return beyond
+    return lambda: number
+
+
 def _power(base, exponent, value, node):
     """The jet function of base^exponent; ``value`` is the exponent's exact value or None."""
     if value is not None and value.denominator == 1:
         return lambda x0, m: _powi(base(x0, m), value.numerator, node)
+    scale = None if value is None else _double(value, node.right)
 
     def jet(x0, m):
         b, e = base(x0, m), (exponent(x0, m) if value is None else None)
         if b[0] <= 0.0:
             raise EvalDomainError("non-integer power of a non-positive base", node)
         log_b = _log(b, node)  # a rational exponent scales it in O(m)
-        return _exp(_mul(e, log_b) if value is None else [float(value) * t for t in log_b])
+        return _exp(_mul(e, log_b) if value is None else [scale() * t for t in log_b])
 
     return jet
 
 
 def _compile(node: Expr) -> Compiled:
     """One walk: fold exact rational subtrees and build each node's jet function.
-    Jets run operands left to right, a base before its exponent, and make
-    floats of literals only then, so errors surface in evaluation order."""
+    Jets run operands left to right, a base before its exponent, and raise
+    a literal's range error only then, so errors surface in evaluation order."""
     match node:
         case Num(value):
-            return Compiled(lambda x0, m: _constant(float(value), m), value)
+            number = _double(value, node)
+            return Compiled(lambda x0, m: _constant(number(), m), value)
         case Pi():
             return Compiled(lambda x0, m: _constant(math.pi, m), None)
         case Var():  # x0 + (x - x0)

@@ -23,10 +23,10 @@ chain satisfies K^(k)_[a,b](x) = h^(n+k) K^(k)_[0,1](t).  Hence
     integral(|K^(k)|) over [a, b] = h^(n+k+1) C(n, k)
     integral((K^(k))^2) over [a, b] = h^(2n+2k+1) L(n, k)
 
-with C and L taken on [0, 1].  ``kernel_set`` keeps one [0, 1] set per
-order, with its constants filled per k on first use; a set on any other
-interval builds its exact polynomials only when they are read and keeps
-them only as long as the set itself.
+with C and L taken on [0, 1].  The module builds one chain K^(0..n) on
+[0, 1] per order, and C(n, k) and L(n, k) once per (n, k); a
+``KernelSet`` holds only (n, a, b) and maps that chain and those
+constants onto [a, b] when they are read.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache
 
-from .exactmath import Polynomial, X, rational, rational_interval
+from .exactmath import Polynomial, X, format_rational, rational, rational_interval
 from .weights import HermiteRule, _check_order, compute_weights
 
 __all__ = [
@@ -80,13 +80,13 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class KernelSet:
-    """A matched kernel with its antiderivative chain on [a, b].
+    """The matched kernel of order n on [a, b] and its antiderivative chain.
 
-    ``antiderivatives[j-1]`` is the j-th repeated integral of the kernel
-    from a; every entry vanishes at both endpoints and the last equals
-    (x-a)^n (x-b)^n / (2n)!.  ``params``, ``kernel`` and ``antiderivatives``
-    are built on first read.  The norms of the chain members are the
-    [0, 1] constants of the order scaled by powers of h = b - a.
+    A plain value holding only (n, a, b).  ``member(k)`` is the k-th
+    repeated integral of the kernel from a (the kernel for k = 0); every
+    member with k >= 1 vanishes at both endpoints and the last equals
+    (x-a)^n (x-b)^n / (2n)!.  Members and norms are the order's [0, 1]
+    chain and constants mapped by x = a + h t, h = b - a.
     """
 
     n: int
@@ -103,43 +103,46 @@ class KernelSet:
     def h(self) -> Fraction:
         return self.b - self.a
 
-    @cached_property
+    @property
     def params(self) -> KernelParams:
+        """The matched parameters on [a, b], solved on every read."""
         return solve_params(self.n, self.a, self.b)
 
-    @cached_property
+    @property
     def kernel(self) -> Polynomial:
-        return kernel_from_params(self.params)
+        return self.member(0)
 
-    @cached_property
-    def antiderivatives(self) -> tuple:
-        return antiderivative_chain(self.kernel, self.a, self.n)
+    def _check_index(self, k: int) -> None:
+        if not 0 <= k <= self.n:
+            raise ValueError(f"chain index must be in 0..{self.n}, got {k}")
 
     def member(self, k: int) -> Polynomial:
         """K^(k): the kernel for k = 0, its k-th repeated integral for 1 <= k <= n."""
-        if not 0 <= k <= self.n:
-            raise ValueError(f"chain index must be in 0..{self.n}, got {k}")
-        return self.antiderivatives[k - 1] if k else self.kernel
+        self._check_index(k)
+        h = self.h
+        unit = _unit_chain(self.n)[k]
+        return unit.compose_affine(-self.a / h, 1 / h) * h ** (self.n + k)
 
     def l2sq(self, k: int = 0) -> Fraction:
         """Exact integral of (K^(k))^2 over [a, b]: h^(2n+2k+1) L(n, k)."""
-        return _unit(self.n).l2sq(k) * self.h ** (2 * (self.n + k) + 1)
+        self._check_index(k)
+        return _unit_l2sq(self.n, k) * self.h ** (2 * (self.n + k) + 1)
 
     def abs_integral(self, k: int = 0) -> float:
         """Integral of |K^(k)| over [a, b]: h^(n+k+1) C(n, k), rounded once."""
-        return float(_unit(self.n).abs_integral(k) * self.h ** (self.n + k + 1))
+        self._check_index(k)
+        return float(_unit_abs_integral(self.n, k) * self.h ** (self.n + k + 1))
 
     def to_json_dict(self) -> dict:
-        from .exactmath import format_rational
-
+        params = self.params
         return {
             "n": self.n,
             "a": format_rational(self.a),
             "b": format_rational(self.b),
             "coeffs": [format_rational(c) for c in self.kernel.coeffs],
             "params": {
-                "c": format_rational(self.params.c),
-                "deltas": [format_rational(d) for d in self.params.deltas],
+                "c": format_rational(params.c),
+                "deltas": [format_rational(d) for d in params.deltas],
             },
         }
 
@@ -327,41 +330,28 @@ def _abs_integral_exact(kernel: Polynomial, a: Fraction, b: Fraction) -> Fractio
     return total
 
 
-class _UnitKernel:
-    """The [0, 1] kernel set of one order and its exact chain constants.
-
-    C(n, k) = integral of |K^(k)| and L(n, k) = integral of (K^(k))^2 over
-    [0, 1], each computed on first request.  C is exact up to the root
-    brackets of ``kernel_abs_integral``.
-    """
-
-    def __init__(self, n: int):
-        self.set = KernelSet(n, Fraction(0), Fraction(1))
-        self._abs = {}
-        self._l2sq = {}
-
-    def abs_integral(self, k: int) -> Fraction:
-        if k not in self._abs:
-            self._abs[k] = _abs_integral_exact(self.set.member(k), self.set.a, self.set.b)
-        return self._abs[k]
-
-    def l2sq(self, k: int) -> Fraction:
-        if k not in self._l2sq:
-            self._l2sq[k] = kernel_l2sq(self.set.member(k), self.set.a, self.set.b)
-        return self._l2sq[k]
+# One entry per order or per (n, k): the order cap bounds these caches.
 
 
-#: One [0, 1] kernel per order; every other interval scales it.
-_unit = lru_cache(maxsize=64)(_UnitKernel)
+@cache
+def _unit_chain(n: int) -> tuple:
+    """K^(0..n) on [0, 1]: the matched kernel and its repeated integrals."""
+    kern = kernel_from_params(solve_params(n, 0, 1))
+    return (kern,) + antiderivative_chain(kern, 0, n)
+
+
+@cache
+def _unit_abs_integral(n: int, k: int) -> Fraction:
+    """C(n, k), exact up to the root brackets of ``kernel_abs_integral``."""
+    return _abs_integral_exact(_unit_chain(n)[k], Fraction(0), Fraction(1))
+
+
+@cache
+def _unit_l2sq(n: int, k: int) -> Fraction:
+    """L(n, k), exact."""
+    return kernel_l2sq(_unit_chain(n)[k], 0, 1)
 
 
 def kernel_set(n: int, a, b) -> KernelSet:
-    """The matched kernel and its antiderivative chain on [a, b].
-
-    Cheap: the exact polynomials are built when read.  On [0, 1] this is
-    the order's cached set.
-    """
-    ks = KernelSet(n, a, b)
-    if ks.a == 0 and ks.b == 1:
-        return _unit(n).set
-    return ks
+    """The matched kernel and its antiderivative chain on [a, b], as a value."""
+    return KernelSet(n, a, b)

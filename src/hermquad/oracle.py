@@ -66,8 +66,8 @@ class OracleConfig:
     max_depth: int = 48
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 

@@ -18,51 +18,28 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import format_rational, parse_rational, rational_interval
 
 __all__ = [
-    "DEFAULT_ORDER_CAP",
-    "ORDER_CAP_ENV",
     "HermiteRule",
-    "order_cap",
     "omega_coeffs",
     "compute_weights",
     "apply_rule",
 ]
 
-#: Default cap on the rule order; weights for much larger n are still exact
-#: but kernel degrees and factorial sizes grow without practical payoff.
-DEFAULT_ORDER_CAP = 64
-
-#: Environment variable overriding the order cap.
-ORDER_CAP_ENV = "HQ_MAX_N"
-
-
-def order_cap() -> int:
-    raw = os.environ.get(ORDER_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORDER_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{ORDER_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{ORDER_CAP_ENV} must be >= 1, got {cap}")
-    return cap
+#: Cap on the rule order; weights for much larger n are still exact but
+#: kernel degrees and factorial sizes grow without practical payoff.
+_ORDER_CAP = 64
 
 
 def _check_order(n) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"rule order must be a positive integer, got {n!r}")
-    cap = order_cap()
-    if n > cap:
-        raise ValueError(
-            f"rule order {n} exceeds the cap {cap} (override with {ORDER_CAP_ENV})"
-        )
+    if n > _ORDER_CAP:
+        raise ValueError(f"rule order {n} exceeds the cap {_ORDER_CAP}")
 
 
 @dataclass(frozen=True)

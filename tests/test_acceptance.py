@@ -135,7 +135,7 @@ def test_04_orthogonality_and_symmetry():
 
 def test_05_kernel_norm_constants():
     ks = kernel_set(2, 0, 1)
-    g = ks.antiderivatives[0]
+    g = ks.member(1)
     assert ks.l2sq() == Fraction(1, 720)
     assert kernel_l2sq(g, 0, 1) == Fraction(1, 30240)
     assert abs(ks.abs_integral() - math.sqrt(3) / 54) <= 1e-12

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hermquad import cli
 from hermquad.cli import main
 from hermquad.expressions import MAX_CONSTANT_BITS, MAX_LITERAL_DIGITS, MAX_NESTING
 from hermquad.weights import HermiteRule, compute_weights
@@ -325,6 +326,17 @@ class TestSizeLimits:
         assert code == 0
         assert json.loads(out)["reference"] == pytest.approx(2047 / 11, rel=1e-12)
 
+    @pytest.mark.parametrize("fn,subexpr", [
+        ("1e4000*x", str(10 ** 4000)),
+        ("x^(1e400/3)", f"({10 ** 400} / 3)"),
+    ])
+    def test_literal_beyond_the_double_range_is_named(self, capsys, fn, subexpr):
+        code, _, err = run(capsys, "integrate", "--n", "2", "--a", "1", "--b", "2", "--fn", fn)
+        assert code == 2
+        assert err.strip() == (
+            f"hermquad: numerical failure: constant beyond the double range in '{subexpr}'"
+        )
+
 
 class TestNonFiniteIntegrand:
     def test_overflow_everywhere_exits_2_at_once(self, capsys):
@@ -348,6 +360,33 @@ class TestUsageErrors:
     def test_reversed_interval(self, capsys):
         code, _, _ = run(capsys, "integrate", "--n", "2", "--a", "1", "--b", "0", "--fn", "x")
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-10"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, monkeypatch, tol):
+        # NaN once passed the check and split every panel to the depth limit.
+        def no_reference(*args):
+            raise AssertionError("the reference integral must not run")
+
+        monkeypatch.setattr(cli, "reference_integrate", no_reference)
+        for command in ("integrate", "bounds"):
+            code, _, err = run(capsys, command, "--n", "2", "--a", "0", "--b", "1",
+                               "--fn", "exp(x)", f"--tol={tol}")
+            assert code == 1
+            assert err == "hermquad: error: --tol must be finite and positive\n"
+
+    @pytest.mark.parametrize("a,b,reason", [
+        ("0", "1e-400", "endpoints must be distinct doubles; both round to 0.0"),
+        ("1", "1.00000000000000000001", "endpoints must be distinct doubles; both round to 1.0"),
+        ("0", "1e400", "endpoints must lie within the double range"),
+        ("-1e400", "0", "endpoints must lie within the double range"),
+    ])
+    @pytest.mark.parametrize("command", ["integrate", "bounds", "composite"])
+    def test_endpoints_must_be_distinct_finite_doubles(self, capsys, command, a, b, reason):
+        extra = ["--m", "2"] if command == "composite" else []
+        code, out, err = run(capsys, command, "--n", "3", f"--a={a}", f"--b={b}",
+                             "--fn", "x", *extra)
+        assert (code, out) == (1, "")
+        assert err == f"hermquad: error: {reason}\n"
 
     def test_bad_rational(self, capsys):
         code, _, err = run(capsys, "weights", "--n", "2", "--a", "zero", "--b", "1")

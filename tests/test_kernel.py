@@ -139,16 +139,16 @@ class TestKernelConstruction:
 class TestAntiderivativeChain:
     def test_g_and_h_on_unit_interval(self):
         ks = kernel_set(2, 0, 1)
-        g = ks.antiderivatives[0]
+        g = ks.member(1)
         assert g == X ** 3 / 6 - X ** 2 / 4 + X / 12
-        assert ks.antiderivatives[1] == X ** 2 * (X - 1) ** 2 / 24
+        assert ks.member(2) == X ** 2 * (X - 1) ** 2 / 24
 
 
 class TestKernelNorms:
     def test_l2sq_values(self):
         ks = kernel_set(2, 0, 1)
         assert ks.l2sq() == Fraction(1, 720)
-        assert kernel_l2sq(ks.antiderivatives[0], 0, 1) == Fraction(1, 30240)
+        assert kernel_l2sq(ks.member(1), 0, 1) == Fraction(1, 30240)
         assert kernel_l2sq(Polynomial(), 0, 1) == 0
 
     def test_l2sq_scales_with_width(self):
@@ -157,12 +157,12 @@ class TestKernelNorms:
         w = b - a
         ks = kernel_set(2, a, b)
         assert ks.l2sq() == w ** 5 / 720
-        assert kernel_l2sq(ks.antiderivatives[0], a, b) == w ** 7 / 30240
+        assert kernel_l2sq(ks.member(1), a, b) == w ** 7 / 30240
 
     def test_abs_integral_values(self):
         ks = kernel_set(2, 0, 1)
         assert ks.abs_integral() == pytest.approx(math.sqrt(3) / 54, abs=1e-13)
-        g = ks.antiderivatives[0]
+        g = ks.member(1)
         assert kernel_abs_integral(g, 0, 1) == pytest.approx(1 / 192, abs=1e-13)
 
     def test_abs_integral_n1(self):
@@ -174,7 +174,7 @@ class TestKernelNorms:
         w = float(b - a)
         ks = kernel_set(2, a, b)
         assert ks.abs_integral() == pytest.approx(w ** 3 * math.sqrt(3) / 54, rel=1e-12)
-        assert kernel_abs_integral(ks.antiderivatives[0], a, b) == pytest.approx(
+        assert kernel_abs_integral(ks.member(1), a, b) == pytest.approx(
             w ** 4 / 192, rel=1e-12
         )
 
@@ -200,7 +200,7 @@ class TestRootIsolation:
     def test_exact_grid_zero_is_tolerated(self):
         # G vanishes at the exact interval midpoint, which is a scan point
         # candidate; the integral still comes out right.
-        g = kernel_set(2, 0, 1).antiderivatives[0]
+        g = kernel_set(2, 0, 1).member(1)
         assert kernel_abs_integral(g, 0, 1) == pytest.approx(1 / 192, rel=1e-12)
 
     def test_high_degree_signs_are_exact(self):
@@ -212,11 +212,6 @@ class TestRootIsolation:
 
 
 class TestKernelSetCache:
-    def test_cache_returns_same_object(self):
-        a = kernel_set(4, 0, 1)
-        b = kernel_set(4, Fraction(0), Fraction(1))
-        assert a is b
-
     def test_json_dump_shape(self):
         doc = kernel_set(2, 0, 1).to_json_dict()
         assert doc == {
@@ -246,6 +241,18 @@ class TestAffineImage:
             kernel_abs_integral(member, a, b), rel=1e-13
         )
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), intervals())
+    def test_members_equal_the_independent_chain(self, n, interval):
+        # The chain built on [a, b] itself, from the matched parameters.
+        a, b = interval
+        kern = kernel_from_params(solve_params(n, a, b))
+        chain = (kern,) + antiderivative_chain(kern, a, n)
+        ks = kernel_set(n, a, b)
+        assert ks.kernel == kern
+        for k in range(n + 1):
+            assert ks.member(k) == chain[k]
+
     def test_unit_interval_values_are_the_constants(self):
         for n in range(1, 7):
             ks = kernel_set(n, 0, 1)
@@ -263,7 +270,7 @@ class TestAffineImage:
             return real(*args)
 
         monkeypatch.setattr(kernel, "_isolate_roots_exact", counted)
-        kernel._unit.cache_clear()
+        kernel._unit_abs_integral.cache_clear()
         first = kernel_set(5, Fraction(1, 3), Fraction(7, 2))
         first.abs_integral(0)
         first.abs_integral(2)
@@ -278,19 +285,39 @@ class TestAffineImage:
         assert kernel_set(4, a, b) is not kernel_set(4, a, b)
         assert kernel_set(4, a, b) == kernel_set(4, a, b)
 
-    def test_exact_polynomials_are_built_on_first_read(self):
-        ks = kernel_set(3, Fraction(1, 2), Fraction(9, 4))
-        assert {"params", "kernel", "antiderivatives"}.isdisjoint(vars(ks))
-        ks.abs_integral(1)
-        ks.l2sq(2)
-        assert {"params", "kernel", "antiderivatives"}.isdisjoint(vars(ks))
-        assert ks.member(2) == ks.antiderivatives[1]
-        assert {"params", "kernel", "antiderivatives"} <= set(vars(ks))
+    def test_a_set_holds_only_n_a_b(self):
+        for a, b in [(0, 1), (Fraction(1, 2), Fraction(9, 4))]:
+            ks = kernel_set(3, a, b)
+            assert ks == kernel_set(3, Fraction(a), Fraction(b))
+            ks.kernel, ks.params, ks.to_json_dict()
+            for k in range(4):
+                ks.member(k), ks.l2sq(k), ks.abs_integral(k)
+            assert vars(ks) == {"n": 3, "a": Fraction(a), "b": Fraction(b)}
+            assert not hasattr(ks, "antiderivatives")
+
+    def test_unit_chain_is_built_once_per_order(self, monkeypatch):
+        built = []
+        real = kernel.antiderivative_chain
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "antiderivative_chain", counted)
+        kernel._unit_chain.cache_clear()
+        for a, b in [(0, 1), (Fraction(1, 3), Fraction(7, 2)), (Fraction(-9, 4), 2)]:
+            ks = kernel_set(6, a, b)
+            for k in range(7):
+                ks.member(k), ks.l2sq(k)
+            ks.abs_integral(0)
+        assert len(built) == 1
+        kernel_set(5, 0, 1).member(1)
+        assert len(built) == 2
 
     def test_sign_check_still_raises(self, monkeypatch):
         # K_2's two roots replaced by the midpoint: both segments are negative.
         monkeypatch.setattr(kernel, "_isolate_roots_exact", lambda poly, a, b: [(a + b) / 2])
-        kernel._unit.cache_clear()
+        kernel._unit_abs_integral.cache_clear()
         with pytest.raises(RootIsolationError):
             kernel_set(2, Fraction(1, 3), 2).abs_integral()
 
@@ -299,5 +326,9 @@ class TestAffineImage:
             kernel_set(0, 0, 1)
         with pytest.raises(ValueError):
             kernel_set(2, 1, 1)
-        with pytest.raises(ValueError):
-            kernel_set(2, 0, 1).abs_integral(3)
+        for bad in (-1, 3):
+            # A negative index must not wrap around to the end of the chain.
+            with pytest.raises(ValueError, match="chain index"):
+                kernel_set(2, 0, 1).abs_integral(bad)
+            with pytest.raises(ValueError, match="chain index"):
+                kernel_set(2, Fraction(1, 3), 2).l2sq(bad)

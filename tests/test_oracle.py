@@ -134,3 +134,10 @@ class TestReferenceIntegrate:
             OracleConfig(abs_tol=0.0)
         with pytest.raises(ValueError):
             OracleConfig(max_depth=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerances_are_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            OracleConfig(abs_tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            OracleConfig(rel_tol=tol)

@@ -258,7 +258,7 @@ class TestErrorEngine:
     def test_chain_index_range(self):
         ks = kernel_set(2, 0, 1)
         assert ks.member(0) == ks.kernel
-        assert ks.member(2) == ks.antiderivatives[1]
+        assert ks.member(2) == X ** 2 * (X - 1) ** 2 / 24
         for bad in (-1, 3):
             with pytest.raises(ValueError):
                 ks.member(bad)
@@ -284,7 +284,7 @@ class TestErrorEngine:
             return real(*args)
 
         monkeypatch.setattr(kernel, "_isolate_roots_exact", counted)
-        kernel._unit.cache_clear()
+        kernel._unit_abs_integral.cache_clear()
         points = []
 
         def f(x):
@@ -322,7 +322,7 @@ class TestE2SpecificBounds:
     def test_f3_constants_on_unit_interval(self):
         # Unit-deviation constants: integral(|G|) = 1/192, ||G||_2 = 1/sqrt(30240).
         ks = kernel_set(2, 0, 1)
-        g = ks.antiderivatives[0]
+        g = ks.member(1)
         from hermquad.kernel import kernel_abs_integral, kernel_l2sq
 
         assert kernel_abs_integral(g, 0, 1) == pytest.approx(1 / 192, rel=1e-12)

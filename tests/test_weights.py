@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from hermquad.exactmath import Polynomial, X
 from hermquad.interpolant import JetPair, build_hermite
-from hermquad.weights import (
-    HermiteRule,
-    ORDER_CAP_ENV,
-    apply_rule,
-    compute_weights,
-    omega_coeffs,
-    order_cap,
-)
+from hermquad.weights import HermiteRule, apply_rule, compute_weights, omega_coeffs
 
 from conftest import coeff_lists, intervals, monomial_jets
 
@@ -59,15 +52,10 @@ class TestComputeWeights:
         with pytest.raises(ValueError):
             compute_weights(2, 2, 1)
 
-    def test_order_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv(ORDER_CAP_ENV, "4")
-        assert order_cap() == 4
-        with pytest.raises(ValueError):
-            compute_weights(5, 0, 1)
-        compute_weights(4, 0, 1)
-        monkeypatch.setenv(ORDER_CAP_ENV, "nope")
-        with pytest.raises(ValueError):
-            order_cap()
+    def test_order_cap_is_64(self):
+        assert compute_weights(64, 0, 1).n == 64
+        with pytest.raises(ValueError, match=r"^rule order 65 exceeds the cap 64$"):
+            compute_weights(65, 0, 1)
 
 
 class TestOmegaCoeffs:
