@@ -8,11 +8,9 @@ n-th derivative only.
 """
 
 from .exactmath import (
-    BigRational,
     Polynomial,
     X,
     format_rational,
-    int_beta,
     parse_rational,
     rational,
 )
@@ -64,10 +62,8 @@ from .weights import HermiteRule, apply_rule, compute_weights, omega_coeffs
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "Polynomial",
     "X",
-    "int_beta",
     "rational",
     "parse_rational",
     "format_rational",

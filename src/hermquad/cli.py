@@ -78,7 +78,7 @@ def _parse_panel_counts(text: str) -> list:
 def _oracle_config(tol: float) -> OracleConfig:
     if not 0 < tol < math.inf:
         raise _UsageError("--tol must be finite and positive")
-    return OracleConfig(abs_tol=tol, rel_tol=tol)
+    return OracleConfig(tol=tol)
 
 
 def _emit_csv(reports):
@@ -277,9 +277,7 @@ def _cmd_verify(args) -> int:
 def _cmd_demo(args) -> int:
     expr = parse("x^2*sin(x)")
     a, b = 0.0, math.pi
-    reference = reference_integrate(
-        evaluator(expr), a, b, OracleConfig(abs_tol=1e-13, rel_tol=1e-13)
-    )
+    reference = reference_integrate(evaluator(expr), a, b, OracleConfig(tol=1e-13))
     jets = jet_provider(expr)
     trapezoid = float(integrate_single(jets, 1, a, b))
     hermite = float(integrate_single(jets, 2, a, b))

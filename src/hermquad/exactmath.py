@@ -2,9 +2,8 @@
 
 Weight and kernel computations in this package run on arbitrary-precision
 rationals so that algebraic identities can be checked exactly, with no
-floating-point slack.  The scalar type is :class:`fractions.Fraction`
-(re-exported as ``BigRational``); :class:`Polynomial` is a dense univariate
-polynomial over it.
+floating-point slack.  The scalar type is :class:`fractions.Fraction`;
+:class:`Polynomial` is a dense univariate polynomial over it.
 
 Floats enter exact arithmetic only through their exact binary expansion
 (``Fraction(0.1)`` is the value the double already holds, not 1/10); the
@@ -18,13 +17,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-BigRational = Fraction
-
 __all__ = [
-    "BigRational",
     "Polynomial",
     "X",
-    "int_beta",
     "rational",
     "rational_interval",
     "parse_rational",
@@ -95,10 +90,6 @@ class Polynomial:
         self._floats = None
 
     @classmethod
-    def constant(cls, value) -> "Polynomial":
-        return cls((value,))
-
-    @classmethod
     def monomial(cls, power: int, coeff=1) -> "Polynomial":
         """coeff * x**power"""
         if power < 0:
@@ -117,11 +108,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -272,10 +258,3 @@ class Polynomial:
 
 #: The identity polynomial x.
 X = Polynomial((0, 1))
-
-
-def int_beta(p: int, q: int) -> Fraction:
-    """Beta function at positive integer arguments: B(p, q) = (p-1)!(q-1)!/(p+q-1)!."""
-    if not isinstance(p, int) or not isinstance(q, int) or p < 1 or q < 1:
-        raise ValueError(f"int_beta requires positive integers, got ({p!r}, {q!r})")
-    return Fraction(math.factorial(p - 1) * math.factorial(q - 1), math.factorial(p + q - 1))

@@ -354,10 +354,13 @@ def _div(u, v, node):
     return out
 
 
-def _exp(u):
+def _exp(u, node):
     m = len(u)
     out = [0.0] * m
-    out[0] = math.exp(u[0])
+    try:
+        out[0] = math.exp(u[0])
+    except OverflowError:
+        raise EvalDomainError("exp beyond the double range", node) from None
     for k in range(1, m):
         acc = 0.0
         for j in range(1, k + 1):
@@ -394,7 +397,9 @@ def _sqrt(u, node):
     return out
 
 
-def _sin_cos(u):
+def _sin_cos(u, node):
+    if math.isinf(u[0]):  # a nan argument passes through, as in every other rule
+        raise EvalDomainError(f"{node.name} of an infinite value", node)
     m = len(u)
     s = [0.0] * m
     c = [0.0] * m
@@ -438,9 +443,9 @@ def _powi(u, exponent, node):
 
 #: Function name -> jet rule (u, node); the parser accepts exactly these names.
 _CALLS = {
-    "sin": lambda u, node: _sin_cos(u)[0],
-    "cos": lambda u, node: _sin_cos(u)[1],
-    "exp": lambda u, node: _exp(u),
+    "sin": lambda u, node: _sin_cos(u, node)[0],
+    "cos": lambda u, node: _sin_cos(u, node)[1],
+    "exp": _exp,
     "log": _log,
     "sqrt": _sqrt,
 }
@@ -503,7 +508,7 @@ def _power(base, exponent, value, node):
         if b[0] <= 0.0:
             raise EvalDomainError("non-integer power of a non-positive base", node)
         log_b = _log(b, node)  # a rational exponent scales it in O(m)
-        return _exp(_mul(e, log_b) if value is None else [scale() * t for t in log_b])
+        return _exp(_mul(e, log_b) if value is None else [scale() * t for t in log_b], node)
 
     return jet
 

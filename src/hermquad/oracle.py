@@ -9,8 +9,12 @@ Non-finite integrand samples (inf/nan, e.g. at an integrable endpoint or
 interior singularity) taint a panel: tainted panels are forced to split
 until the depth limit, after which the non-finite samples count as zero
 and the panel width is charged to the error estimate.  A panel with no
-finite sample at all is not split: its error estimate is infinite, so the
-result is unconverged.
+finite sample at all, or whose finite samples overflow the rule sums, is
+not split: its error estimate is infinite, so the result is unconverged.
+
+``OracleConfig.tol`` is the one setting: a result is converged when its
+error estimate is at most tol * max(1, |value|) and its value is finite.
+Bisection stops at depth ``_MAX_DEPTH``.
 """
 
 from __future__ import annotations
@@ -58,18 +62,17 @@ _WG_CENTER = 0.417959183673469387755102040816327
 #: Integrand samples per panel.
 _SAMPLES = 2 * len(_XGK) + 1
 
+#: Bisection depth after which a panel is accepted as it is.
+_MAX_DEPTH = 48
+
 
 @dataclass(frozen=True)
 class OracleConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_depth: int = 48
+    tol: float = 1e-12
 
     def __post_init__(self):
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
-            raise ValueError("tolerances must be finite and positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -122,23 +125,24 @@ def _panel(f, lo: float, hi: float):
     return half * kron, half * gauss, half * kron_abs, bad
 
 
-def _refine(f, lo, hi, kron, gauss, kron_abs, bad, budget, depth, cfg):
-    if bad == _SAMPLES:
-        # Nothing is known of f here, and splitting a region where f is
-        # non-finite everywhere would run every branch to the depth limit.
-        return kron, math.inf, 1
+def _refine(f, lo, hi, kron, gauss, kron_abs, bad, budget, depth):
     err = abs(kron - gauss)
+    if bad == _SAMPLES or not math.isfinite(err):
+        # Nothing is known of f here, or its finite samples overflow the
+        # rule sums, which no split can fix: every branch would run to the
+        # depth limit.
+        return kron, math.inf, 1
     if bad:
         err = max(err, hi - lo)
     floor = max(budget, _NOISE_FACTOR * kron_abs)
     too_thin = (hi - lo) <= 1e-15 * max(abs(lo), abs(hi), 1.0)
-    if depth >= cfg.max_depth or too_thin or (err <= floor and not bad):
+    if depth >= _MAX_DEPTH or too_thin or (err <= floor and not bad):
         return kron, err, 1
     mid = 0.5 * (lo + hi)
     lk, lg, la, lt = _panel(f, lo, mid)
     rk, rg, ra, rt = _panel(f, mid, hi)
-    lv, le, lp = _refine(f, lo, mid, lk, lg, la, lt, 0.5 * budget, depth + 1, cfg)
-    rv, re, rp = _refine(f, mid, hi, rk, rg, ra, rt, 0.5 * budget, depth + 1, cfg)
+    lv, le, lp = _refine(f, lo, mid, lk, lg, la, lt, 0.5 * budget, depth + 1)
+    rv, re, rp = _refine(f, mid, hi, rk, rg, ra, rt, 0.5 * budget, depth + 1)
     return lv + rv, le + re, lp + rp + 1
 
 
@@ -146,8 +150,9 @@ def reference_integrate(f, a, b, cfg: OracleConfig | None = None) -> IntegralRes
     """Adaptively integrate ``f`` over [a, b].
 
     Returns the value with an error estimate; ``converged`` is False when
-    the estimate still exceeds max(abs_tol, rel_tol * |value|) after the
-    depth limit.  Reversed limits negate the result; empty intervals give 0.
+    the value is not finite or the estimate still exceeds
+    tol * max(1, |value|) after the depth limit.  Reversed limits negate
+    the result; empty intervals give 0.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -160,7 +165,7 @@ def reference_integrate(f, a, b, cfg: OracleConfig | None = None) -> IntegralRes
         a, b = b, a
         sign = -1.0
     kron, gauss, kron_abs, bad = _panel(f, a, b)
-    budget = max(cfg.abs_tol, cfg.rel_tol * abs(kron))
-    value, err, panels = _refine(f, a, b, kron, gauss, kron_abs, bad, budget, 0, cfg)
-    converged = err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    budget = cfg.tol * max(1.0, abs(kron))
+    value, err, panels = _refine(f, a, b, kron, gauss, kron_abs, bad, budget, 0)
+    converged = math.isfinite(value) and err <= cfg.tol * max(1.0, abs(value))
     return IntegralResult(sign * value, err, converged, panels)

@@ -67,10 +67,6 @@ class Partition:
         step = (b - a) / m
         return cls(tuple(a + k * step for k in range(m)) + (b,))
 
-    @property
-    def panel_count(self) -> int:
-        return len(self.nodes) - 1
-
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -275,19 +271,14 @@ def refined_bounds(f_deriv, kernel: KernelSet, count: int = 257, k: int = 0):
     """Midrange/mean bounds on f^(n+k) with one sampling refinement pass.
 
     Samples f once on 2*count - 1 points, whose even points form the
-    ``count``-point grid, and pairs both grids with one evaluation of the
-    kernel norms.  The result is stable when neither bound moved by more
-    than 1%.  Returns (uniform, l2, stable) of the finer grid.  Needs
+    ``count``-point grid, and takes both grids' bounds from ``bound_uniform``
+    and ``bound_l2``.  The result is stable when neither bound moved by
+    more than 1%.  Returns (uniform, l2, stable) of the finer grid.  Needs
     0 <= k <= n-1, as ``bound_uniform`` explains.
     """
-    _check_bound_index(kernel, k)
-    abs_integral = kernel.abs_integral(k)
-    l2_norm = math.sqrt(float(kernel.l2sq(k)))
-    a = float(kernel.a)
-    b = float(kernel.b)
-    fine = sample_uniform(f_deriv, a, b, 2 * count - 1)
+    fine = sample_uniform(f_deriv, kernel.a, kernel.b, 2 * count - 1)
     coarse_pair, fine_pair = (
-        BoundPair(_spread_half(s) * abs_integral, _l2_deviation(s, a, b) * l2_norm)
+        BoundPair(bound_uniform(s, kernel, k=k), bound_l2(s, kernel, k))
         for s in (fine[::2], fine)
     )
     stable = all(

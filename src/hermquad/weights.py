@@ -16,7 +16,6 @@ w_a[j] = omega[j] * (b-a)^(j+1); the composite rule reuses them per panel.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,9 +77,6 @@ class HermiteRule:
             "w_b": [format_rational(w) for w in self.w_b],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "HermiteRule":
         return cls(
@@ -90,10 +86,6 @@ class HermiteRule:
             w_a=tuple(parse_rational(w) for w in doc["w_a"]),
             w_b=tuple(parse_rational(w) for w in doc["w_b"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "HermiteRule":
-        return cls.from_json_dict(json.loads(text))
 
 
 def omega_coeffs(n: int) -> tuple:

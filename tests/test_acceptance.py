@@ -46,7 +46,7 @@ from hermquad.weights import apply_rule, compute_weights
 
 from conftest import monomial_jets
 
-TIGHT = OracleConfig(abs_tol=1e-12, rel_tol=1e-12)
+TIGHT = OracleConfig(tol=1e-12)
 
 CORPUS = ("exp(x)", "sin(x)", "x^2*sin(x)", "1/(1+x^2)")
 
@@ -216,10 +216,10 @@ def test_09_mild_regularity_log_kink():
 
     jets = lambda x, m: (f(float(x)),)
     quadrature = float(integrate_single(jets, 1, 0, 1))
-    reference = reference_integrate(f, 0.0, 1.0, OracleConfig(abs_tol=1e-11, rel_tol=1e-11))
+    reference = reference_integrate(f, 0.0, 1.0, OracleConfig(tol=1e-11))
     assert reference.converged
     via_kernel = error_exact(
-        fprime, kernel_set(1, 0, 1), OracleConfig(abs_tol=1e-10, rel_tol=1e-10)
+        fprime, kernel_set(1, 0, 1), OracleConfig(tol=1e-10)
     )
     assert abs((reference.value - quadrature) - via_kernel) <= 1e-6
     report(9, "integral(f' K_1) matches reference - quadrature despite unbounded f''")

@@ -8,6 +8,7 @@ import pytest
 from hermquad import cli
 from hermquad.cli import main
 from hermquad.expressions import MAX_CONSTANT_BITS, MAX_LITERAL_DIGITS, MAX_NESTING
+from hermquad.oracle import reference_integrate
 from hermquad.weights import HermiteRule, compute_weights
 
 
@@ -345,6 +346,37 @@ class TestNonFiniteIntegrand:
         code, _, err = run(capsys, "integrate", "--n", "2", "--a", "0", "--b", "1", "--fn", "10^400*x")
         assert code == 2
         assert "did not converge" in err
+
+    def test_overflowing_rule_sums_exit_2_at_once(self, capsys, monkeypatch):
+        # Samples below 1.8e308 are finite, but the rule sums over them
+        # overflow: this once split every panel to the depth limit, and an
+        # infinite value then passed the tolerance test.
+        results = []
+
+        def spy(*args):
+            results.append(reference_integrate(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "reference_integrate", spy)
+        code, out, err = run(capsys, "integrate", "--n", "2", "--a", "1", "--b", "2",
+                             "--fn", "1e308*x")
+        assert (code, out) == (2, "")
+        assert err == (
+            "hermquad: numerical failure: reference integral did not converge"
+            " (value=inf, err=inf)\n"
+        )
+        assert results[0].panels < 1000
+
+    @pytest.mark.parametrize("fn,reason", [
+        ("exp(1000*x)", "exp beyond the double range in 'exp((1000 * x))'"),
+        ("x^(1000*x)", "exp beyond the double range in '(x ^ (1000 * x))'"),
+        ("sin(1e308*x^2)", f"sin of an infinite value in 'sin(({10 ** 308} * (x ^ 2)))'"),
+        ("cos(1e308*x^2)", f"cos of an infinite value in 'cos(({10 ** 308} * (x ^ 2)))'"),
+    ])
+    def test_float_range_failures_exit_2_naming_the_node(self, capsys, fn, reason):
+        code, out, err = run(capsys, "integrate", "--n", "2", "--a", "1", "--b", "2", "--fn", fn)
+        assert (code, out) == (2, "")
+        assert err == f"hermquad: numerical failure: {reason}\n"
 
 
 class TestUsageErrors:

@@ -192,6 +192,21 @@ class TestJetEval:
         with pytest.raises(EvalDomainError):
             jet_eval(parse("x^(1/2)"), -1.0, 1)
 
+    @pytest.mark.parametrize("text,x0,message", [
+        ("exp(1000*x)", 2.0, "exp beyond the double range in 'exp((1000 * x))'"),
+        ("x^(1000*x)", 2.0, "exp beyond the double range in '(x ^ (1000 * x))'"),
+        ("sin(2*x)", 1e308, "sin of an infinite value in 'sin((2 * x))'"),
+        ("cos(2*x)", 1e308, "cos of an infinite value in 'cos((2 * x))'"),
+    ])
+    def test_float_range_failures_name_the_node(self, text, x0, message):
+        with pytest.raises(EvalDomainError) as err:
+            jet_eval(parse(text), x0, 3)
+        assert str(err.value) == message
+
+    def test_nan_argument_of_sin_passes_through(self):
+        # inf - inf is nan; like log, sqrt and exp, sin does not reject it.
+        assert math.isnan(jet_eval(parse("sin(2*x - 2*x)"), 1e308, 0).value)
+
     def test_order_cap(self):
         jet_eval(parse("x"), 0.0, MAX_JET_ORDER)
         with pytest.raises(ValueError):

@@ -67,7 +67,7 @@ class TestBuildHermite:
         assert h.degree == 3
         expected = [0.0, 0.0, math.pi, -1.0]
         for power, want in enumerate(expected):
-            assert float(h.coefficient(power)) == pytest.approx(want, abs=1e-12)
+            assert float(h.coeffs[power]) == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=40)
     @given(st.integers(min_value=1, max_value=6), coeff_lists, intervals())

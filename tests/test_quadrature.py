@@ -25,7 +25,7 @@ from hermquad.quadrature import (
 
 from conftest import monomial_jets
 
-TIGHT = OracleConfig(abs_tol=1e-13, rel_tol=1e-13)
+TIGHT = OracleConfig(tol=1e-13)
 
 CORPUS = ("exp(x)", "sin(x)", "x^2*sin(x)", "1/(1+x^2)")
 
@@ -70,7 +70,7 @@ class TestPartition:
     def test_uniform_is_exact(self):
         part = Partition.uniform(0, 1, 3)
         assert part.nodes == (0, Fraction(1, 3), Fraction(2, 3), 1)
-        assert part.panel_count == 3
+        assert len(part.nodes) - 1 == 3
 
 
 class TestIntegrateSingle:
@@ -162,10 +162,10 @@ class TestMildRegularity:
         f, fprime = make_kink(0.5)
         jets = lambda x, m: (f(float(x)),)
         quad = float(integrate_single(jets, 1, 0, 1))
-        ref = reference_integrate(f, 0.0, 1.0, OracleConfig(abs_tol=1e-11, rel_tol=1e-11))
+        ref = reference_integrate(f, 0.0, 1.0, OracleConfig(tol=1e-11))
         assert ref.converged
         exact = error_exact(
-            fprime, kernel_set(1, 0, 1), OracleConfig(abs_tol=1e-10, rel_tol=1e-10)
+            fprime, kernel_set(1, 0, 1), OracleConfig(tol=1e-10)
         )
         assert (ref.value - quad) == pytest.approx(exact, abs=1e-6)
 
@@ -175,10 +175,10 @@ class TestMildRegularity:
         f, fprime = make_kink(1.0 / 3.0)
         jets = lambda x, m: (f(float(x)),)
         quad = float(integrate_single(jets, 1, 0, 1))
-        ref = reference_integrate(f, 0.0, 1.0, OracleConfig(abs_tol=1e-11, rel_tol=1e-11))
+        ref = reference_integrate(f, 0.0, 1.0, OracleConfig(tol=1e-11))
         assert ref.converged
         exact = error_exact(
-            fprime, kernel_set(1, 0, 1), OracleConfig(abs_tol=1e-10, rel_tol=1e-10)
+            fprime, kernel_set(1, 0, 1), OracleConfig(tol=1e-10)
         )
         assert abs(exact) > 1e-3
         assert (ref.value - quad) == pytest.approx(exact, abs=1e-6)

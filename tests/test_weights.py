@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -140,7 +141,8 @@ class TestJsonRoundTrip:
     def test_round_trip(self, n, interval):
         a, b = interval
         rule = compute_weights(n, a, b)
-        assert HermiteRule.from_json(rule.to_json()) == rule
+        text = json.dumps(rule.to_json_dict())
+        assert HermiteRule.from_json_dict(json.loads(text)) == rule
 
     def test_rejects_corrupted_weights(self):
         rule = compute_weights(2, 0, 1)
