@@ -40,6 +40,10 @@ from .quadrature import (
 from .verify import run_checks
 from .weights import compute_weights
 
+#: Cap on the panels of one composite table, summed over its rows.
+_MAX_PANELS = 65536
+
+
 class _UsageError(ValueError):
     pass
 
@@ -72,6 +76,8 @@ def _parse_panel_counts(text: str) -> list:
         raise _UsageError(f"--m expects an integer or comma-separated integers, got {text!r}")
     if not counts or any(m < 1 for m in counts):
         raise _UsageError("--m values must be positive integers")
+    if sum(counts) > _MAX_PANELS:
+        raise _UsageError(f"--m values may total at most {_MAX_PANELS} panels")
     return counts
 
 
@@ -266,8 +272,7 @@ def _cmd_verify(args) -> int:
     failures = 0
     for check in checks:
         status = "ok " if check.passed else "FAIL"
-        detail = f"  {check.detail}" if check.detail else ""
-        print(f"{status}  {check.name:<{width}}{detail}")
+        print(f"{status}  {check.name:<{width}}")
         if not check.passed:
             failures += 1
     print(f"{len(checks) - failures}/{len(checks)} checks passed")

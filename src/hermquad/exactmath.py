@@ -6,10 +6,10 @@ floating-point slack.  The scalar type is :class:`fractions.Fraction`;
 :class:`Polynomial` is a dense univariate polynomial over it.
 
 Floats enter exact arithmetic only through their exact binary expansion
-(``Fraction(0.1)`` is the value the double already holds, not 1/10); the
-reverse conversion, rational -> float, happens once per polynomial when a
-float evaluation is first requested.  Those two conversions are the only
-precision-loss boundaries in the package.
+(``Fraction(0.1)`` is the value the double already holds, not 1/10).  The
+reverse rounding happens to a polynomial's coefficients on its first float
+evaluation, to each rule weight times a float jet (``apply_rule``,
+``integrate_composite``), and to the kernel norms in the error bounds.
 """
 
 from __future__ import annotations
@@ -164,8 +164,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):

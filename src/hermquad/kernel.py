@@ -209,19 +209,15 @@ def antiderivative_chain(kernel: Polynomial, a, n: int) -> tuple:
     return tuple(chain)
 
 
-def peano_kernel(n: int, a, b, rule: HermiteRule) -> Polynomial:
-    """Peano kernel of the rule's error functional.
+def peano_kernel(rule: HermiteRule) -> Polynomial:
+    """Peano kernel of the error functional of the order-n rule on [a, b].
 
     K(x) = (b-x)^{2n}/(2n)! - sum_{k=0}^{n-1} w_b[k] (b-x)^{2n-1-k}/(2n-1-k)!
 
     For the exact rule weights this collapses to (x-a)^n (x-b)^n / (2n)!.
     """
-    _check_order(n)
-    a = rational(a)
-    b = rational(b)
-    if rule.n != n or rule.a != a or rule.b != b:
-        raise ValueError("rule does not match the requested kernel (n, a, b)")
-    bx = Polynomial((b, -1))
+    n = rule.n
+    bx = Polynomial((rule.b, -1))
     # Running power (b-x)^j for j = 2n-1-k, from n up to 2n.
     power = bx ** n
     result = Polynomial()

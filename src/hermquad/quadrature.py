@@ -24,7 +24,7 @@ from typing import ClassVar, NamedTuple
 from .exactmath import rational
 from .kernel import KernelSet, kernel_set
 from .oracle import ConvergenceError, OracleConfig, reference_integrate
-from .weights import apply_rule, compute_weights, omega_coeffs
+from .weights import apply_rule, compute_weights
 
 __all__ = [
     "Partition",
@@ -145,25 +145,23 @@ def integrate_single(jets, n: int, a, b):
 def integrate_composite(jets, n: int, partition: Partition):
     """Composite order-n rule over a partition.
 
-    Per panel [x_i, x_{i+1}] of width h the contribution is
+    A panel [x_i, x_{i+1}] of width h adds, with w_a from ``compute_weights(n, 0, h)``,
 
-        sum_j h^(j+1) * omega_j * (f^(j)(x_i) + (-1)^j f^(j)(x_{i+1}))
+        sum_j w_a[j] * (f^(j)(x_i) + (-1)^j f^(j)(x_{i+1})).
 
-    with the interval-free coefficients omega_j.  Jets at interior nodes
-    are evaluated once and shared by the adjacent panels.
+    Nodes are read as exact rationals, and panels of equal width share one
+    rule.  Adjacent panels share the jet at their common node.
     """
-    omegas = omega_coeffs(n)
     nodes = partition.nodes
     node_jets = [jets(x, n - 1) for x in nodes]
+    rule = None
     total = 0
-    for i in range(len(nodes) - 1):
-        h = nodes[i + 1] - nodes[i]
-        left = node_jets[i]
-        right = node_jets[i + 1]
-        hp = h
-        for j in range(n):
-            total += hp * omegas[j] * (left[j] + (-1) ** j * right[j])
-            hp = hp * h
+    for x0, x1, left, right in zip(nodes, nodes[1:], node_jets, node_jets[1:]):
+        h = rational(x1) - rational(x0)
+        if rule is None or rule.b != h:
+            rule = compute_weights(n, 0, h)
+        for j, w in enumerate(rule.w_a):
+            total += w * (left[j] + (-1) ** j * right[j])
     return total
 
 
@@ -233,7 +231,14 @@ def bound_l2(f_n_samples, kernel: KernelSet, k: int = 0) -> float:
     _check_bound_index(kernel, k)
     a = float(kernel.a)
     b = float(kernel.b)
-    return _l2_deviation(f_n_samples, a, b) * math.sqrt(float(kernel.l2sq(k)))
+    return _l2_deviation(f_n_samples, a, b) * _sqrt(kernel.l2sq(k))
+
+
+def _sqrt(q) -> float:
+    """sqrt(q) = sqrt(r) * 2^e for an exact q = r * 4^e >= 0 with r near 1: finite beyond
+    the double range, and bit for bit sqrt(float(q)) where q is a normal double."""
+    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(float(q / 4 ** e if e >= 0 else q * 4 ** -e)), e)
 
 
 def e2_bound_f3(f3_samples, kernel: KernelSet) -> BoundPair:

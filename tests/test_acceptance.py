@@ -106,7 +106,7 @@ def test_03_kernel_triple_identity():
             chain = antiderivative_chain(matched, a, n)
             closed = (X - a) ** n * (X - b) ** n / math.factorial(2 * n)
             assert chain[-1] == closed
-            assert peano_kernel(n, a, b, compute_weights(n, a, b)) == closed
+            assert peano_kernel(compute_weights(n, a, b)) == closed
 
             # Closed-form parameter checks implied by the identity.
             w = b - a

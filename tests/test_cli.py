@@ -1,15 +1,16 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from hermquad import cli
+from hermquad import cli, verify
 from hermquad.cli import main
 from hermquad.expressions import MAX_CONSTANT_BITS, MAX_LITERAL_DIGITS, MAX_NESTING
 from hermquad.oracle import reference_integrate
-from hermquad.weights import HermiteRule, compute_weights
+from hermquad.weights import HermiteRule, apply_rule, compute_weights
 
 
 def run(capsys, *argv):
@@ -140,6 +141,25 @@ class TestCompositeCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("m", ["100000000", "65536,1"])
+    def test_panel_total_above_the_cap_exits_1_at_once(self, capsys, monkeypatch, m):
+        # 10^8 panels once built 10^8 exact nodes with no end in sight.
+        def no_reference(*args):
+            raise AssertionError("the reference integral must not run")
+
+        monkeypatch.setattr(cli, "reference_integrate", no_reference)
+        code, out, err = run(capsys, "composite", "--n", "2", "--a", "0", "--b", "1",
+                             "--fn", "exp(x)", "--m", m)
+        assert (code, out) == (1, "")
+        assert err == "hermquad: error: --m values may total at most 65536 panels\n"
+
+    def test_panel_cap_admits_its_total_and_is_not_an_option(self, capsys):
+        assert cli._parse_panel_counts("65535,1") == [65535, 1]
+        with pytest.raises(SystemExit):
+            main(["composite", "--help"])
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert options == {"--help", "--n", "--a", "--b", "--fn", "--tol", "--m", "--format"}
+
 
 class TestBoundsCommand:
     def test_default_order_bounds_hold(self, capsys):
@@ -176,6 +196,19 @@ class TestBoundsCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["error_via_f4"] == pytest.approx(-doc["error"], rel=1e-6)
+
+    def test_wide_interval_whose_squared_kernel_norm_overflows(self, capsys):
+        # integral(K^2) ~ 1e347 once overflowed in its conversion to a float.
+        code, out, err = run(
+            capsys,
+            "bounds", "--n", "2", "--a", "0", "--b", "1e70",
+            "--fn", "sin(x*1e-70)", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["bound_l2"] == pytest.approx(9.231144198690197e67, rel=1e-12)
+        assert abs(doc["error"]) <= doc["bound_uniform"]
+        assert abs(doc["error"]) <= doc["bound_l2"]
 
     def test_bad_bound_order_exits_1(self, capsys):
         for order in ("2", "7"):
@@ -220,6 +253,24 @@ class TestVerifyCommand:
         # Negative rationals need the --a=value spelling.
         code, out, _ = run(capsys, "verify", "--n", "3", "--a=-2/3", "--b", "5/4")
         assert code == 0
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_one_rule_value_per_monomial_feeds_both_checks(self, monkeypatch, n):
+        # x^d for d < 2n, then x^(2n) for the first failure.
+        calls = []
+
+        def off_by_one(rule, jet_a, jet_b):
+            calls.append(jet_a)
+            return apply_rule(rule, jet_a, jet_b) + 1
+
+        monkeypatch.setattr(verify, "apply_rule", off_by_one)
+        failed = [check.name for check in verify.run_checks(n) if not check.passed]
+        assert len(calls) == 2 * n + 1
+        assert failed == [
+            f"exact on monomials x^d, d <= {2 * n - 1}",
+            "interpolant integral equals the weighted rule",
+            "error on x^(2n) equals (-1)^n (n!)^2 (b-a)^(2n+1) / (2n+1)!",
+        ]
 
 
 class TestDemoCommand:

@@ -64,6 +64,23 @@ class TestPolynomialBasics:
         p = Polynomial((1, 2, 3))
         assert p * Polynomial() == Polynomial()
 
+    @pytest.mark.parametrize("exponent,products", [(0, 0), (1, 1), (2, 2), (3, 3), (8, 4), (12, 5)])
+    def test_power_squares_only_while_bits_remain(self, monkeypatch, exponent, products):
+        p = X - Fraction(1, 3)
+        want = Polynomial((1,))
+        for _ in range(exponent):
+            want = want * p
+        calls = []
+        multiply = Polynomial.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        assert p ** exponent == want
+        assert len(calls) == products
+
     def test_binomial_square_product(self):
         p = X ** 2 * (X - 1) ** 2
         assert p == Polynomial((0, 0, 1, -2, 1))

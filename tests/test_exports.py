@@ -9,6 +9,7 @@ import hermquad
 from hermquad.exactmath import Polynomial
 from hermquad.oracle import OracleConfig
 from hermquad.quadrature import Partition
+from hermquad.verify import Check
 from hermquad.weights import HermiteRule
 
 #: The package and every submodule that declares ``__all__``.
@@ -41,6 +42,7 @@ def test_every_exported_name_resolves(module):
     (OracleConfig(), "abs_tol"),
     (OracleConfig(), "rel_tol"),
     (OracleConfig(), "max_depth"),
+    (Check, "detail"),
 ])
 def test_removed_names_are_absent(owner, name):
     assert not hasattr(owner, name)

@@ -93,7 +93,7 @@ class TestKernelConstruction:
         chain = antiderivative_chain(matched, a, n)
         closed = (X - a) ** n * (X - b) ** n / math.factorial(2 * n)
         assert chain[-1] == closed
-        assert peano_kernel(n, a, b, compute_weights(n, a, b)) == closed
+        assert peano_kernel(compute_weights(n, a, b)) == closed
 
     @settings(max_examples=25)
     @given(st.integers(min_value=1, max_value=12), intervals())
@@ -123,17 +123,10 @@ class TestKernelConstruction:
             assert p(b) == 0
 
     def test_peano_small_cases(self):
-        assert peano_kernel(1, 0, 1, compute_weights(1, 0, 1)) == X * (X - 1) / 2
-        assert peano_kernel(2, 0, 1, compute_weights(2, 0, 1)) == X ** 2 * (X - 1) ** 2 / 24
+        assert peano_kernel(compute_weights(1, 0, 1)) == X * (X - 1) / 2
+        assert peano_kernel(compute_weights(2, 0, 1)) == X ** 2 * (X - 1) ** 2 / 24
         closed = X ** 3 * (X - 2) ** 3 / 720
-        assert peano_kernel(3, 0, 2, compute_weights(3, 0, 2)) == closed
-
-    def test_peano_rejects_mismatched_rule(self):
-        rule = compute_weights(2, 0, 1)
-        with pytest.raises(ValueError):
-            peano_kernel(3, 0, 1, rule)
-        with pytest.raises(ValueError):
-            peano_kernel(2, 0, 2, rule)
+        assert peano_kernel(compute_weights(3, 0, 2)) == closed
 
 
 class TestAntiderivativeChain:

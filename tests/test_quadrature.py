@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermquad import kernel
+from hermquad import kernel, quadrature
 from hermquad.exactmath import Polynomial, X
 from hermquad.expressions import derivative_function, evaluator, jet_provider, parse
 from hermquad.kernel import kernel_set
@@ -22,6 +22,7 @@ from hermquad.quadrature import (
     refined_bounds,
     sample_uniform,
 )
+from hermquad.weights import apply_rule, compute_weights, omega_coeffs
 
 from conftest import monomial_jets
 
@@ -122,6 +123,64 @@ class TestIntegrateComposite:
             order = observed_orders(errors)[-1]
             assert order == pytest.approx(2 * n, abs=0.15)
 
+    #: Panel widths 2/3, 5/6, 7/10 and 4/5.
+    NODES = (Fraction(-1), Fraction(-1, 3), Fraction(1, 2), Fraction(6, 5), Fraction(2))
+
+    @staticmethod
+    def omega_formula(jets, n, nodes):
+        """The composite sum with the weights omega_j h^(j+1) formed inline, panel by panel."""
+        omegas = omega_coeffs(n)
+        node_jets = [jets(x, n - 1) for x in nodes]
+        total = 0
+        for i in range(len(nodes) - 1):
+            h = nodes[i + 1] - nodes[i]
+            left = node_jets[i]
+            right = node_jets[i + 1]
+            hp = h
+            for j in range(n):
+                total += hp * omegas[j] * (left[j] + (-1) ** j * right[j])
+                hp = hp * h
+        return total
+
+    @pytest.mark.parametrize("nodes,rules", [
+        (Partition.uniform(0, 1, 8).nodes, 1),
+        ((0, Fraction(1, 4), Fraction(1, 2), 1), 2),
+    ])
+    def test_one_rule_per_run_of_equal_widths(self, monkeypatch, nodes, rules):
+        widths = []
+
+        def spy(n, a, b):
+            widths.append(b - a)
+            return compute_weights(n, a, b)
+
+        monkeypatch.setattr(quadrature, "compute_weights", spy)
+        integrate_composite(jet_provider(parse("exp(x)")), 3, Partition(nodes))
+        assert len(widths) == rules
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_float_jets_match_the_omega_formula_bit_for_bit(self, n):
+        jets = jet_provider(parse("exp(0.5*x)*cos(2*x)+sqrt(2+x)"))
+        value = integrate_composite(jets, n, Partition(self.NODES))
+        assert value.hex() == self.omega_formula(jets, n, self.NODES).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exact_jets_give_the_sum_of_panel_rules(self, n):
+        jets = poly_jets(Polynomial((Fraction(1, 3), -2, Fraction(7, 5), 1, Fraction(-1, 4), 2,
+                                     Fraction(5, 9), -1, Fraction(2, 7), 3)))
+        panels = zip(self.NODES, self.NODES[1:])
+        want = sum(apply_rule(compute_weights(n, a, b), jets(a, n - 1), jets(b, n - 1))
+                   for a, b in panels)
+        got = integrate_composite(jets, n, Partition(self.NODES))
+        assert isinstance(got, Fraction)
+        assert got == want
+
+    def test_float_nodes_are_read_exactly(self):
+        nodes = (0.0, 0.1, 0.30000000000000004, 1.0)
+        jets = jet_provider(parse("exp(x)"))
+        value = integrate_composite(jets, 3, Partition(nodes))
+        exact = integrate_composite(jets, 3, Partition(tuple(Fraction(x) for x in nodes)))
+        assert value.hex() == exact.hex()
+
 
 class TestErrorExact:
     def test_x2_sinx(self):
@@ -206,6 +265,26 @@ class TestBounds:
         bound = bound_l2(samples, ks)
         assert bound == pytest.approx(2 / 15, rel=1e-3)
         assert bound >= 1 / 30
+
+    @pytest.mark.parametrize("q", [
+        Fraction(1, 720), Fraction(1, 30240), Fraction(2), Fraction(4), Fraction(10 ** 300, 7),
+        Fraction(3, 2 ** 1000), Fraction(2 ** 53 - 1) * 2 ** 971, Fraction(1, 3 * 10 ** 307),
+    ])
+    def test_sqrt_is_the_float_sqrt_in_range(self, q):
+        assert quadrature._sqrt(q).hex() == math.sqrt(float(q)).hex()
+
+    def test_sqrt_beyond_the_double_range(self):
+        assert quadrature._sqrt(Fraction(10) ** 400 * 2) == pytest.approx(math.sqrt(2) * 1e200,
+                                                                          rel=1e-15)
+        assert quadrature._sqrt(Fraction(1, 10 ** 400)) == pytest.approx(1e-200, rel=1e-15)
+        assert quadrature._sqrt(Fraction(0)) == 0.0
+
+    def test_l2_bound_on_an_interval_whose_squared_norm_overflows(self):
+        # integral(K^2) = 1e350 / 720 is beyond the double range, its root is not.
+        # The samples deviate from their mean 1/2 by 1/2 everywhere: norm 5e34.
+        ks = kernel_set(2, 0, 10 ** 70)
+        samples = [0.0, 1.0, 0.0]
+        assert bound_l2(samples, ks) == pytest.approx(5e34 * 1e175 / math.sqrt(720), rel=1e-14)
 
     def test_kernel_factor_n2(self):
         # With ||Phi||_2 = 1 the L2 bound reduces to 1/sqrt(720).
