@@ -228,7 +228,16 @@ def _cmd_composite(args) -> int:
     reference = reference_integrate(evaluator(expr), float(a), float(b), cfg)
     if not reference.converged:
         raise ConvergenceError("reference integral did not converge", reference)
-    jets = jet_provider(expr)
+    node_jets = {}
+    provider = jet_provider(expr)
+
+    def jets(x, m):
+        # Rows share nodes (m and 2m panels share m + 1), so each node's jet is built once.
+        jet = node_jets.get(x)
+        if jet is None:
+            jet = node_jets[x] = provider(x, m)
+        return jet
+
     values = [
         float(integrate_composite(jets, args.n, Partition.uniform(a, b, m))) for m in counts
     ]

@@ -59,31 +59,33 @@ class JetPair:
 def leibniz_coeffs(side: str, pair: JetPair) -> tuple:
     """The coefficients A_0..A_{n-1} (side "a") or B_0..B_{n-1} (side "b").
 
-    Exact for rational jets; float jets are converted exactly first.
+    Exact for rational jets; float jets are converted exactly first.  With
+    base = p/q and the jets over one denominator S as R_j / S, each B_k is
+    one integer sum over S p^(n+k):
+
+        B_k = sum_j C(k,j) R_j p^j (-1)^(k-j) (n+k-j-1)!/(n-1)! q^(n+k-j) / (S p^(n+k))
     """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     n = pair.order
     if side == "a":
-        jets = tuple(rational(v) for v in pair.jet_a)
+        jets = [rational(v) for v in pair.jet_a]
         base = pair.a - pair.b
     else:
-        jets = tuple(rational(v) for v in pair.jet_b)
+        jets = [rational(v) for v in pair.jet_b]
         base = pair.b - pair.a
-    fact_n1 = math.factorial(n - 1)
-    out = []
-    for k in range(n):
-        s = Fraction(0)
-        for j in range(k + 1):
-            s += (
-                jets[j]
-                * math.comb(k, j)
-                * (-1) ** (k - j)
-                * Fraction(math.factorial(n + k - j - 1), fact_n1)
-                / base ** (n + k - j)
-            )
-        out.append(s)
-    return tuple(out)
+    p, q = base.numerator, base.denominator
+    den = math.lcm(*(v.denominator for v in jets))
+    # jet[j] = R_j p^j and tail[m] = (-1)^m (n+m-1)!/(n-1)! q^(n+m).
+    jet = [v.numerator * (den // v.denominator) * p ** j for j, v in enumerate(jets)]
+    tail = [(-1) ** m * math.perm(n + m - 1, m) * q ** (n + m) for m in range(n)]
+    return tuple(
+        Fraction(
+            sum(math.comb(k, j) * jet[j] * tail[k - j] for j in range(k + 1) if jet[j]),
+            den * p ** (n + k),
+        )
+        for k in range(n)
+    )
 
 
 def build_hermite(pair: JetPair) -> Polynomial:
@@ -91,20 +93,13 @@ def build_hermite(pair: JetPair) -> Polynomial:
     if pair.a >= pair.b:
         raise ValueError("endpoints must satisfy a < b")
     n = pair.order
-    coeffs_a = leibniz_coeffs("a", pair)
-    coeffs_b = leibniz_coeffs("b", pair)
-    xa = Polynomial((-pair.a, 1))
-    xb = Polynomial((-pair.b, 1))
-    sum_b = Polynomial()
-    sum_a = Polynomial()
-    # Running powers: pb = (x-b)^k and pa = (x-a)^k, reaching k = n at the end.
-    pb = pa = Polynomial((1,))
-    for k in range(n):
-        inv_kfact = Fraction(1, math.factorial(k))
-        sum_b = sum_b + pb * (coeffs_b[k] * inv_kfact)
-        sum_a = sum_a + pa * (coeffs_a[k] * inv_kfact)
-        pb = pb * xb
-        pa = pa * xa
-    result = pa * sum_b + pb * sum_a
+    # sum_a = sum_k A_k (x-a)^k / k!: the Taylor polynomial in t, shifted to t = x - a.
+    sum_a, sum_b = (
+        Polynomial(
+            c / math.factorial(k) for k, c in enumerate(leibniz_coeffs(side, pair))
+        ).compose_affine(-point, 1)
+        for side, point in (("a", pair.a), ("b", pair.b))
+    )
+    result = Polynomial((-pair.a, 1)) ** n * sum_b + Polynomial((-pair.b, 1)) ** n * sum_a
     assert result.degree <= 2 * n - 1
     return result

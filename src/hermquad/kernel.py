@@ -166,11 +166,13 @@ def solve_params(n: int, a, b) -> KernelParams:
         return KernelParams(n=1, c=c, deltas=())
     rule = compute_weights(n, a, b)
     ac = a + c
+    # taylor[i] = a^i / i!
+    taylor = [Fraction(1)]
+    for i in range(1, n):
+        taylor.append(taylor[-1] * a / i)
     deltas = [None] * (n - 1)
     for j in range(1, n):
-        tail = Fraction(0)
-        for i in range(1, j):
-            tail += deltas[i + n - 1 - j] * a ** i / math.factorial(i)
+        tail = sum(deltas[i + n - 1 - j] * taylor[i] for i in range(1, j))
         deltas[n - 1 - j] = (
             (-1) ** (j + 1) * rule.w_a[j]
             - ac ** (j + 1) / math.factorial(j + 1)
@@ -255,11 +257,11 @@ def _isolate_roots_exact(poly: Polynomial, a: Fraction, b: Fraction) -> list:
     half = (b - a) / 2
     offsets = sorted(rational(math.cos(math.pi * (k + 0.5) / count)) for k in range(count))
     points = [a] + [mid + half * t for t in offsets] + [b]
-    values = [poly(x) for x in points]
+    signs = [poly.sign(x) for x in points]
     target = _ROOT_REL_WIDTH * (b - a)
     roots = []
     for i in range(len(points) - 1):
-        v0, v1 = values[i], values[i + 1]
+        v0, v1 = signs[i], signs[i + 1]
         if v0 == 0:
             # Interior scan point landing exactly on a root.
             if 0 < i:
@@ -271,7 +273,7 @@ def _isolate_roots_exact(poly: Polynomial, a: Fraction, b: Fraction) -> list:
         positive = v0 > 0
         while x1 - x0 > target:
             xm = (x0 + x1) / 2
-            fm = poly(xm)
+            fm = poly.sign(xm)
             if fm == 0:
                 x0 = x1 = xm
                 break
@@ -314,8 +316,7 @@ def _abs_integral_exact(kernel: Polynomial, a: Fraction, b: Fraction) -> Fractio
     for i in range(len(cuts) - 1):
         lo, hi = cuts[i], cuts[i + 1]
         segment = anti(hi) - anti(lo)
-        midpoint_value = kernel((lo + hi) / 2)
-        sign = 1 if midpoint_value > 0 else (-1 if midpoint_value < 0 else 0)
+        sign = kernel.sign((lo + hi) / 2)
         if sign == 0 or (previous_sign and sign == previous_sign):
             raise RootIsolationError(
                 f"inconsistent sign pattern while integrating |K| on "

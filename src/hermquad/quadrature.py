@@ -150,18 +150,23 @@ def integrate_composite(jets, n: int, partition: Partition):
         sum_j w_a[j] * (f^(j)(x_i) + (-1)^j f^(j)(x_{i+1})).
 
     Nodes are read as exact rationals, and panels of equal width share one
-    rule.  Adjacent panels share the jet at their common node.
+    rule.  Adjacent panels share the jet at their common node.  When every
+    jet entry is a float, each rule's weights are rounded to doubles once,
+    which is what ``Fraction * float`` would do on every panel; other jets
+    keep the exact weights.
     """
     nodes = partition.nodes
     node_jets = [jets(x, n - 1) for x in nodes]
+    floats = all(isinstance(v, float) for jet in node_jets for v in jet[:n])
     rule = None
     total = 0
     for x0, x1, left, right in zip(nodes, nodes[1:], node_jets, node_jets[1:]):
         h = rational(x1) - rational(x0)
         if rule is None or rule.b != h:
             rule = compute_weights(n, 0, h)
-        for j, w in enumerate(rule.w_a):
-            total += w * (left[j] + (-1) ** j * right[j])
+            weights = tuple(map(float, rule.w_a)) if floats else rule.w_a
+        for j, w in enumerate(weights):
+            total += w * (left[j] - right[j] if j & 1 else left[j] + right[j])
     return total
 
 

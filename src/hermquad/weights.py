@@ -94,17 +94,16 @@ def omega_coeffs(n: int) -> tuple:
     omega[0] is always 1/2, so the n = 1 rule is the trapezoidal rule.
     """
     _check_order(n)
-    out = []
-    for j in range(n):
-        s = sum(
-            Fraction(
-                math.comb(k, j) * math.factorial(n + k - j - 1),
-                math.factorial(n + k + 1),
-            )
-            for k in range(j, n)
+    # One denominator (2n)!: the k-th term is C(k,j) (n+k-j-1)! (2n)!/(n+k+1)!.
+    den = math.factorial(2 * n)
+    over = [den // math.factorial(n + k + 1) for k in range(n)]
+    return tuple(
+        Fraction(
+            n * sum(math.comb(k, j) * math.factorial(n + k - j - 1) * over[k] for k in range(j, n)),
+            den,
         )
-        out.append(n * s)
-    return tuple(out)
+        for j in range(n)
+    )
 
 
 def compute_weights(n: int, a, b) -> HermiteRule:

@@ -141,6 +141,27 @@ class TestCompositeCommand:
         )
         assert code == 1
 
+    def test_each_distinct_node_jet_is_built_once(self, capsys, monkeypatch):
+        # Nodes of m = 1, 2, 4, 3: 2 + 3 + 5 + 4 = 14 in the rows, 7 distinct.
+        provider = cli.jet_provider
+        nodes = []
+
+        def counting_provider(expr):
+            jets = provider(expr)
+
+            def counted(x, m):
+                nodes.append(x)
+                return jets(x, m)
+
+            return counted
+
+        argv = ("composite", "--n", "3", "--a", "0", "--b", "1", "--fn", "exp(x)",
+                "--m", "1,2,4,3", "--format", "json")
+        want = run(capsys, *argv)
+        monkeypatch.setattr(cli, "jet_provider", counting_provider)
+        assert run(capsys, *argv) == want
+        assert len(nodes) == len(set(nodes)) == 7
+
     @pytest.mark.parametrize("m", ["100000000", "65536,1"])
     def test_panel_total_above_the_cap_exits_1_at_once(self, capsys, monkeypatch, m):
         # 10^8 panels once built 10^8 exact nodes with no end in sight.

@@ -40,6 +40,10 @@ CASES = (
            ("--n", "3", "--a=0", "--b=pi"),
            ("--n", "3", "--a=0", "--b=1/0"),
        )]
+    # High orders, where coefficient sizes are largest.
+    + [["kernel", "--n", str(n), f"--a={a}", f"--b={b}", "--format", "text"]
+       for n, (a, b) in ((64, INTERVALS[0]), (32, INTERVALS[2]))]
+    + [["verify", "--n", "24", f"--a={INTERVALS[1][0]}", f"--b={INTERVALS[1][1]}"]]
 )
 
 

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermquad.exactmath import (
@@ -136,6 +136,177 @@ class TestPolynomialProperties:
     def test_product_commutes(self, cp, cq):
         p, q = Polynomial(cp), Polynomial(cq)
         assert p * q == q * p
+
+
+# A plain list-of-Fraction polynomial: the reference for the integer form.
+
+
+def ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(p, q):
+    out = [Fraction(0)] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return ref_trim(out)
+
+
+def ref_mul(p, q):
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, ci in enumerate(p):
+        for j, cj in enumerate(q):
+            out[i + j] += ci * cj
+    return ref_trim(out)
+
+
+def ref_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def ref_eval_float(p, x):
+    acc = 0.0
+    for c in reversed(p):
+        acc = acc * x + float(c)
+    return acc
+
+
+def ref_derivative(p, k):
+    return ref_trim(p[i] * math.perm(i, k) for i in range(k, len(p)))
+
+
+def ref_antiderivative(p, lower):
+    raw = (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(p))
+    return ref_add(raw, (-ref_eval(raw, lower),))
+
+
+def ref_compose(p, offset, scale):
+    out = ()
+    for c in reversed(p):
+        out = ref_add(ref_mul(out, (offset, scale)), (c,))
+    return out
+
+
+#: Wider denominators than ``rationals``, so the common denominator does work.
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
+wide_coeff_lists = st.lists(st.one_of(rationals, wide_rationals), min_size=0, max_size=9)
+
+
+def assert_canonical(p: Polynomial):
+    nums, den = p._nums, p._den
+    assert isinstance(den, int) and den > 0
+    assert all(isinstance(c, int) for c in nums)
+    if nums:
+        assert nums[-1] != 0
+        assert math.gcd(den, *nums) == 1
+    else:
+        assert den == 1
+    assert p.coeffs == tuple(Fraction(c, den) for c in nums)
+
+
+class TestIntegerFormAgainstFractionReference:
+    @settings(max_examples=100)
+    @given(wide_coeff_lists, wide_coeff_lists, st.one_of(rationals, wide_rationals))
+    def test_ring_operations(self, cp, cq, s):
+        p, q = Polynomial(cp), Polynomial(cq)
+        rp, rq = ref_trim(cp), ref_trim(cq)
+        results = {
+            "p": (p, rp),
+            "p + q": (p + q, ref_add(rp, rq)),
+            "p - q": (p - q, ref_add(rp, tuple(-c for c in rq))),
+            "-p": (-p, tuple(-c for c in rp)),
+            "s - p": (s - p, ref_add((s,), tuple(-c for c in rp))),
+            "p + s": (p + s, ref_add(rp, (s,))),
+            "p * q": (p * q, ref_mul(rp, rq)),
+            "p * s": (p * s, ref_trim(c * s for c in rp)),
+            "s * p": (s * p, ref_trim(c * s for c in rp)),
+            "p ** 3": (p ** 3, ref_mul(rp, ref_mul(rp, rp))),
+            "p ** 0": (p ** 0, (Fraction(1),)),
+        }
+        if s:
+            results["p / s"] = (p / s, ref_trim(c / s for c in rp))
+        for name, (got, want) in results.items():
+            assert got.coeffs == want, name
+            assert_canonical(got)
+            assert got.degree == len(want) - 1
+            assert got.is_zero() == (not want)
+            assert got.leading_coefficient == (want[-1] if want else 0)
+
+    @settings(max_examples=80)
+    @given(wide_coeff_lists, st.integers(min_value=0, max_value=10), wide_rationals)
+    def test_calculus(self, cp, k, lower):
+        p, rp = Polynomial(cp), ref_trim(cp)
+        for got, want in (
+            (p.derivative(k), ref_derivative(rp, k)),
+            (p.antiderivative(lower), ref_antiderivative(rp, lower)),
+        ):
+            assert got.coeffs == want
+            assert_canonical(got)
+        raw = ref_antiderivative(rp, 0)
+        assert p.integrate(lower, 2) == ref_eval(raw, Fraction(2)) - ref_eval(raw, lower)
+
+    @settings(max_examples=80)
+    @given(wide_coeff_lists, wide_rationals, wide_rationals)
+    def test_compose_affine(self, cp, offset, scale):
+        got = Polynomial(cp).compose_affine(offset, scale)
+        assert got.coeffs == ref_compose(ref_trim(cp), offset, scale)
+        assert_canonical(got)
+
+    @settings(max_examples=100)
+    @given(wide_coeff_lists, st.one_of(wide_rationals, st.integers(-9, 9)),
+           st.floats(min_value=-8, max_value=8))
+    def test_evaluation(self, cp, x, xf):
+        p, rp = Polynomial(cp), ref_trim(cp)
+        value = p(x)
+        assert isinstance(value, Fraction)
+        assert value == ref_eval(rp, x)
+        assert p.sign(x) == (value > 0) - (value < 0)
+        # num / den is correctly rounded, as float(Fraction) is: bit for bit.
+        assert p(xf).hex() == ref_eval_float(rp, xf).hex()
+
+    @given(wide_coeff_lists, wide_coeff_lists)
+    def test_equality_and_hash(self, cp, cq):
+        p, q = Polynomial(cp), Polynomial(cq)
+        assert (p == q) == (ref_trim(cp) == ref_trim(cq))
+        twin = Polynomial(list(cp) + [0, 0])
+        assert twin == p and hash(twin) == hash(p)
+        assert p + q - q == p and hash(p + q - q) == hash(p)
+
+    def test_zero_polynomial(self):
+        zero = Polynomial()
+        for z in (zero, Polynomial((0, Fraction(0), 0.0)), X - X, X * 0, zero.derivative(),
+                  Polynomial((3,)).derivative(), zero.antiderivative(Fraction(1, 3)),
+                  zero.compose_affine(Fraction(1, 2), 3), zero ** 2):
+            assert z == zero and hash(z) == hash(zero)
+            assert z.coeffs == ()
+            assert_canonical(z)
+        assert zero(Fraction(5, 7)) == 0 and isinstance(zero(Fraction(5, 7)), Fraction)
+        assert zero(2.5) == 0.0 and zero.sign(3) == 0
+        assert zero ** 0 == Polynomial((1,))
+        assert zero.integrate(0, 1) == 0
+
+    def test_coeffs_are_read_only(self):
+        p = X / 3 + 1
+        with pytest.raises(AttributeError):
+            p.coeffs = (Fraction(1),)
+        assert p.coeffs == (Fraction(1), Fraction(1, 3))
+
+    def test_float_evaluation_overflows_as_fraction_does(self):
+        huge = Polynomial((Fraction(10 ** 400, 3),))
+        with pytest.raises(OverflowError):
+            float(huge.coeffs[0])
+        with pytest.raises(OverflowError):
+            huge(1.0)
 
 
 class TestIntBeta:

@@ -47,6 +47,35 @@ class TestLeibnizCoeffs:
         pair = JetPair(0, 1, (Fraction(0), Fraction(0)), (Fraction(1), Fraction(3)))
         assert leibniz_coeffs("a", pair) == (Fraction(0), Fraction(0))
 
+    @staticmethod
+    def fraction_formula(side, pair):
+        """B_k (or A_k) term by term in Fractions, with base ** e per term."""
+        n = pair.order
+        jets = [Fraction(v) for v in (pair.jet_a if side == "a" else pair.jet_b)]
+        base = pair.a - pair.b if side == "a" else pair.b - pair.a
+        return tuple(
+            sum(
+                jets[j] * math.comb(k, j) * (-1) ** (k - j)
+                * Fraction(math.factorial(n + k - j - 1), math.factorial(n - 1))
+                / base ** (n + k - j)
+                for j in range(k + 1)
+            )
+            for k in range(n)
+        )
+
+    @settings(max_examples=60)
+    @given(st.integers(min_value=1, max_value=10), st.data(), intervals(max_denominator=1000))
+    def test_matches_the_fraction_formula(self, n, data, interval):
+        floats = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
+        for values in (rationals, floats):
+            jet_a = tuple(data.draw(values) for _ in range(n))
+            jet_b = tuple(data.draw(values) for _ in range(n))
+            pair = JetPair(*interval, jet_a, jet_b)
+            for side in ("a", "b"):
+                got = leibniz_coeffs(side, pair)
+                assert got == self.fraction_formula(side, pair)
+                assert all(isinstance(c, Fraction) for c in got)
+
     def test_rejects_bad_side(self):
         pair = JetPair(0, 1, (1,), (1,))
         with pytest.raises(ValueError):

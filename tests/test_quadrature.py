@@ -174,6 +174,17 @@ class TestIntegrateComposite:
         assert isinstance(got, Fraction)
         assert got == want
 
+    def test_integer_jets_keep_the_exact_weights(self):
+        p = Polynomial((1, -2, 3, 0, 5))
+
+        def jets(x, m):
+            return tuple(int(p.derivative(j)(x)) for j in range(m + 1))
+
+        nodes = (Fraction(-1), Fraction(0), Fraction(2), Fraction(3))
+        got = integrate_composite(jets, 3, Partition(nodes))
+        assert isinstance(got, Fraction)
+        assert got == p.integrate(-1, 3)
+
     def test_float_nodes_are_read_exactly(self):
         nodes = (0.0, 0.1, 0.30000000000000004, 1.0)
         jets = jet_provider(parse("exp(x)"))
