@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .exactmath import format_rational, parse_rational
@@ -328,6 +329,7 @@ def _add_common(parser, with_fn=False, with_m=False, with_bound_order=False):
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="hermquad",

@@ -5,13 +5,15 @@ The order-n rule commits the error
     E_n = integral( (-1)^n f^(n)(x) K_n(x) , a, b )
 
 where K_n is a degree-n polynomial with leading coefficient 1/n! -- a
-shifted, unnormalized Legendre polynomial on [a, b].  This module builds
-K_n three independent ways and cross-checks are left to the caller:
+shifted, unnormalized Legendre polynomial on [a, b].  This module gives
+K_n in closed form and keeps the independent constructions that
+``verify`` checks it against:
 
+* ``rodrigues_kernel``: K_n = (1/(2n)!) d^n/dx^n [(x-a)^n (x-b)^n], the
+  form every ``KernelSet`` is built from;
 * ``kernel_from_params``: K_n(x) = (x+c)^n/n! + sum_i delta_i x^i/i!, with
   the parameters fixed by matching repeated reverse integration by parts
   against the rule weights (``solve_params``);
-* ``rodrigues_kernel``: K_n = (1/(2n)!) d^n/dx^n [(x-a)^n (x-b)^n];
 * ``peano_kernel``: the Peano kernel of the rule's error functional, a
   degree-2n polynomial equal to (x-a)^n (x-b)^n / (2n)!, which must also
   equal the n-th antiderivative of K_n (``antiderivative_chain``).
@@ -24,9 +26,13 @@ chain satisfies K^(k)_[a,b](x) = h^(n+k) K^(k)_[0,1](t).  Hence
     integral((K^(k))^2) over [a, b] = h^(2n+2k+1) L(n, k)
 
 with C and L taken on [0, 1].  The module builds one chain K^(0..n) on
-[0, 1] per order, and C(n, k) and L(n, k) once per (n, k); a
-``KernelSet`` holds only (n, a, b) and maps that chain and those
-constants onto [a, b] when they are read.
+[0, 1] per order, straight from the Rodrigues form
+K^(k)_[0,1] = d^(n-k)/dt^(n-k) [t^n (t-1)^n] / (2n)!, and C(n, k) and
+L(n, k) once per (n, k); a ``KernelSet`` holds only (n, a, b) and maps
+that chain and those constants onto [a, b] when they are read.  The
+matching route (``solve_params``, ``kernel_from_params``,
+``antiderivative_chain``) is ``verify``'s independent witness, not a
+step of the construction.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ __all__ = [
     "peano_kernel",
     "kernel_l2sq",
     "kernel_abs_integral",
-    "isolate_roots",
     "kernel_set",
 ]
 
@@ -86,7 +91,9 @@ class KernelSet:
     repeated integral of the kernel from a (the kernel for k = 0); every
     member with k >= 1 vanishes at both endpoints and the last equals
     (x-a)^n (x-b)^n / (2n)!.  Members and norms are the order's [0, 1]
-    chain and constants mapped by x = a + h t, h = b - a.
+    Rodrigues chain and constants mapped by x = a + h t, h = b - a, and
+    the parameters are read off the mapped kernel; nothing here solves
+    the matching system.
     """
 
     n: int
@@ -105,8 +112,17 @@ class KernelSet:
 
     @property
     def params(self) -> KernelParams:
-        """The matched parameters on [a, b], solved on every read."""
-        return solve_params(self.n, self.a, self.b)
+        """The matched parameters on [a, b], read off the kernel.
+
+        c = -(a+b)/2 and delta_i = i! [x^i] (K - (x+c)^n/n!).  The
+        remainder has degree at most n-2 (K is even or odd about the
+        midpoint), and its trailing zero coefficients are padded back.
+        """
+        n = self.n
+        c = -(self.a + self.b) / 2
+        rest = (self.kernel - (X + c) ** n / math.factorial(n)).coeffs
+        rest += (Fraction(0),) * (n - 1 - len(rest))
+        return KernelParams(n, c, tuple(math.factorial(i) * d for i, d in enumerate(rest)))
 
     @property
     def kernel(self) -> Polynomial:
@@ -162,14 +178,9 @@ def solve_params(n: int, a, b) -> KernelParams:
     _check_order(n)
     a, b = rational_interval(a, b)
     c = -(a + b) / 2
-    if n == 1:
-        return KernelParams(n=1, c=c, deltas=())
     rule = compute_weights(n, a, b)
     ac = a + c
-    # taylor[i] = a^i / i!
-    taylor = [Fraction(1)]
-    for i in range(1, n):
-        taylor.append(taylor[-1] * a / i)
+    taylor = [a ** i / math.factorial(i) for i in range(n)]
     deltas = [None] * (n - 1)
     for j in range(1, n):
         tail = sum(deltas[i + n - 1 - j] * taylor[i] for i in range(1, j))
@@ -183,11 +194,8 @@ def solve_params(n: int, a, b) -> KernelParams:
 
 def kernel_from_params(params: KernelParams) -> Polynomial:
     """K_n(x) = (x+c)^n / n! + sum_{i=0}^{n-2} deltas[i] x^i / i!."""
-    n = params.n
-    result = (X + params.c) ** n / math.factorial(n)
-    for i, d in enumerate(params.deltas):
-        result = result + Polynomial.monomial(i, d / math.factorial(i))
-    return result
+    tail = Polynomial([d / math.factorial(i) for i, d in enumerate(params.deltas)])
+    return (X + params.c) ** params.n / math.factorial(params.n) + tail
 
 
 def rodrigues_kernel(n: int, a, b) -> Polynomial:
@@ -202,13 +210,10 @@ def antiderivative_chain(kernel: Polynomial, a, n: int) -> tuple:
     """Repeated integrals K^1..K^n of the kernel, each vanishing at a."""
     if n < 1:
         raise ValueError("chain length must be >= 1")
-    a = rational(a)
-    chain = []
-    current = kernel
+    chain = [kernel]
     for _ in range(n):
-        current = current.antiderivative(a)
-        chain.append(current)
-    return tuple(chain)
+        chain.append(chain[-1].antiderivative(a))
+    return tuple(chain[1:])
 
 
 def peano_kernel(rule: HermiteRule) -> Polynomial:
@@ -285,11 +290,6 @@ def _isolate_roots_exact(poly: Polynomial, a: Fraction, b: Fraction) -> list:
     return sorted(roots)
 
 
-def isolate_roots(poly: Polynomial, a, b) -> list:
-    """Approximate locations of the sign-change roots of ``poly`` in (a, b)."""
-    return [float(r) for r in _isolate_roots_exact(poly, rational(a), rational(b))]
-
-
 def kernel_abs_integral(kernel: Polynomial, a, b) -> float:
     """Numerically accurate integral of |K| over [a, b].
 
@@ -332,9 +332,13 @@ def _abs_integral_exact(kernel: Polynomial, a: Fraction, b: Fraction) -> Fractio
 
 @cache
 def _unit_chain(n: int) -> tuple:
-    """K^(0..n) on [0, 1]: the matched kernel and its repeated integrals."""
-    kern = kernel_from_params(solve_params(n, 0, 1))
-    return (kern,) + antiderivative_chain(kern, 0, n)
+    """K^(0..n) on [0, 1] from the Rodrigues form.
+
+    K^(k) = w^(n-k) for w = t^n (t-1)^n / (2n)!: the kernel for k = 0,
+    and for k >= 1 its k-th repeated integral from 0 (t^k divides it).
+    """
+    w = X ** n * (X - 1) ** n / math.factorial(2 * n)
+    return tuple(w.derivative(n - k) for k in range(n + 1))
 
 
 @cache

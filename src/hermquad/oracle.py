@@ -125,25 +125,43 @@ def _panel(f, lo: float, hi: float):
     return half * kron, half * gauss, half * kron_abs, bad
 
 
-def _refine(f, lo, hi, kron, gauss, kron_abs, bad, budget, depth):
-    err = abs(kron - gauss)
-    if bad == _SAMPLES or not math.isfinite(err):
+def _refine(f, a: float, b: float, tol: float):
+    """(value, err, panels) of adaptive bisection over [a, b].
+
+    An explicit stack visits the panels depth first, left before right,
+    and sums each split as left + right, so the integrand is always called
+    at one stack depth however deep the bisection goes.  A ``None`` entry
+    marks a split whose two halves are done.
+    """
+    panel = _panel(f, a, b)
+    todo = [(a, b, panel, tol * max(1.0, abs(panel[0])), 0)]
+    done = []
+    while todo:
+        task = todo.pop()
+        if task is None:
+            (lv, le, lp), (rv, re, rp) = done[-2:]
+            done[-2:] = [(lv + rv, le + re, lp + rp + 1)]
+            continue
+        lo, hi, (kron, gauss, kron_abs, bad), budget, depth = task
+        err = abs(kron - gauss)
         # Nothing is known of f here, or its finite samples overflow the
         # rule sums, which no split can fix: every branch would run to the
         # depth limit.
-        return kron, math.inf, 1
-    if bad:
-        err = max(err, hi - lo)
-    floor = max(budget, _NOISE_FACTOR * kron_abs)
-    too_thin = (hi - lo) <= 1e-15 * max(abs(lo), abs(hi), 1.0)
-    if depth >= _MAX_DEPTH or too_thin or (err <= floor and not bad):
-        return kron, err, 1
-    mid = 0.5 * (lo + hi)
-    lk, lg, la, lt = _panel(f, lo, mid)
-    rk, rg, ra, rt = _panel(f, mid, hi)
-    lv, le, lp = _refine(f, lo, mid, lk, lg, la, lt, 0.5 * budget, depth + 1)
-    rv, re, rp = _refine(f, mid, hi, rk, rg, ra, rt, 0.5 * budget, depth + 1)
-    return lv + rv, le + re, lp + rp + 1
+        void = bad == _SAMPLES or not math.isfinite(err)
+        if void:
+            err = math.inf
+        elif bad:
+            err = max(err, hi - lo)
+        floor = max(budget, _NOISE_FACTOR * kron_abs)
+        too_thin = (hi - lo) <= 1e-15 * max(abs(lo), abs(hi), 1.0)
+        if void or depth >= _MAX_DEPTH or too_thin or (err <= floor and not bad):
+            done.append((kron, err, 1))
+            continue
+        mid = 0.5 * (lo + hi)
+        left, right = _panel(f, lo, mid), _panel(f, mid, hi)
+        budget *= 0.5
+        todo += [None, (mid, hi, right, budget, depth + 1), (lo, mid, left, budget, depth + 1)]
+    return done[0]
 
 
 def reference_integrate(f, a, b, cfg: OracleConfig | None = None) -> IntegralResult:
@@ -164,8 +182,6 @@ def reference_integrate(f, a, b, cfg: OracleConfig | None = None) -> IntegralRes
     if a > b:
         a, b = b, a
         sign = -1.0
-    kron, gauss, kron_abs, bad = _panel(f, a, b)
-    budget = cfg.tol * max(1.0, abs(kron))
-    value, err, panels = _refine(f, a, b, kron, gauss, kron_abs, bad, budget, 0)
+    value, err, panels = _refine(f, a, b, cfg.tol)
     converged = math.isfinite(value) and err <= cfg.tol * max(1.0, abs(value))
     return IntegralResult(sign * value, err, converged, panels)

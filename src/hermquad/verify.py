@@ -11,11 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import Polynomial, X, rational_interval
+from .exactmath import Polynomial, X, rational, rational_interval
 from .interpolant import JetPair, build_hermite
 from .kernel import (
     antiderivative_chain,
-    isolate_roots,
     kernel_from_params,
     kernel_set,
     peano_kernel,
@@ -34,14 +33,22 @@ class Check:
 
 
 def _monomial_jets(d: int, n: int, x: Fraction) -> tuple:
-    """Derivatives 0..n-1 of x**d at a rational point."""
-    out = []
-    for j in range(n):
-        if j > d:
-            out.append(Fraction(0))
-        else:
-            out.append(math.perm(d, j) * x ** (d - j))
-    return tuple(out)
+    """Derivatives 0..n-1 of x**d at a rational point (perm(d, j) = 0 for j > d)."""
+    return tuple(math.perm(d, j) * x ** max(d - j, 0) for j in range(n))
+
+
+def _separators(n: int, a: Fraction, b: Fraction) -> list:
+    """a, one exact rational between each two adjacent roots of K_n, and b.
+
+    Bruns' inequality puts the j-th zero angle of the Legendre polynomial
+    P_n strictly between (j-1/2)pi/(n+1/2) and j pi/(n+1/2) (Szego,
+    Orthogonal Polynomials, 6.21), so the images of cos(j pi/(n+1/2)),
+    j = 1..n-1, under t -> a + (b-a)(1-t)/2 separate the roots.  The
+    float cosines are converted exactly; only the signs taken at these
+    points, not the points themselves, carry the proof.
+    """
+    cuts = (rational(math.cos(j * math.pi / (n + 0.5))) for j in range(1, n))
+    return [a, *(a + (b - a) * (1 - t) / 2 for t in cuts), b]
 
 
 def run_checks(n: int, a=0, b=1) -> list:
@@ -153,9 +160,10 @@ def run_checks(n: int, a=0, b=1) -> list:
         )
     )
 
-    roots = isolate_roots(kern, a, b)
-    checks.append(
-        Check(f"kernel has exactly {n} sign changes in (a, b)", len(roots) == n)
-    )
+    # n+1 alternating exact signs of a degree-n polynomial prove exactly n
+    # simple roots in (a, b).
+    signs = [kern.sign(x) for x in _separators(n, a, b)]
+    alternate = all(s * t < 0 for s, t in zip(signs, signs[1:]))
+    checks.append(Check(f"kernel has exactly {n} sign changes in (a, b)", alternate))
 
     return checks

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hermquad import cli, verify
+from hermquad import cli, kernel, verify
 from hermquad.cli import main
 from hermquad.expressions import MAX_CONSTANT_BITS, MAX_LITERAL_DIGITS, MAX_NESTING
 from hermquad.oracle import reference_integrate
@@ -292,6 +292,45 @@ class TestVerifyCommand:
             "interpolant integral equals the weighted rule",
             "error on x^(2n) equals (-1)^n (n!)^2 (b-a)^(2n+1) / (2n+1)!",
         ]
+
+
+    def test_sign_change_check_fails_without_sign_changes(self, monkeypatch, capsys):
+        # |K_3| <= 1/3! on [0, 1], so K_3 + 1 is positive there.
+        real = verify.kernel_from_params
+        monkeypatch.setattr(verify, "kernel_from_params", lambda params: real(params) + 1)
+        code, out, _ = run(capsys, "verify", "--n", "3")
+        assert code == 2
+        assert re.search(r"^FAIL  kernel has exactly 3 sign changes in \(a, b\)", out, re.M)
+
+    def test_isolates_no_roots(self, monkeypatch, capsys):
+        calls = []
+        real = kernel._isolate_roots_exact
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "_isolate_roots_exact", counted)
+        kernel._unit_abs_integral.cache_clear()
+        code, out, _ = run(capsys, "verify", "--n", "12", "--a=-3/2", "--b=3/2")
+        assert code == 0
+        assert "ok   kernel has exactly 12 sign changes in (a, b)" in out
+        assert calls == []
+
+
+class TestParser:
+    def test_two_runs_share_one_parser(self, capsys):
+        cli.build_parser.cache_clear()
+        argv = ("weights", "--n", "2", "--a", "0", "--b", "1", "--format", "csv")
+        first = run(capsys, *argv)
+        # A failed parse in between leaves nothing behind in the shared parser.
+        with pytest.raises(SystemExit):
+            main(["weights", "--n", "2", "--a", "0"])
+        assert run(capsys, "weights", "--n", "0", "--a", "0", "--b", "1")[0] == 1
+        assert run(capsys, *argv) == first
+        assert first == (0, "j,w_a,w_b\n0,1/2,1/2\n1,1/12,-1/12\n", "")
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestDemoCommand:

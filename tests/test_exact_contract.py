@@ -44,6 +44,11 @@ CASES = (
     + [["kernel", "--n", str(n), f"--a={a}", f"--b={b}", "--format", "text"]
        for n, (a, b) in ((64, INTERVALS[0]), (32, INTERVALS[2]))]
     + [["verify", "--n", "24", f"--a={INTERVALS[1][0]}", f"--b={INTERVALS[1][1]}"]]
+    # Sign-change separators at the order cap, and a symmetric interval,
+    # where every other kernel parameter is 0.
+    + [["verify", "--n", "64", f"--a={INTERVALS[2][0]}", f"--b={INTERVALS[2][1]}"],
+       ["verify", "--n", "12", "--a=-3/2", "--b=3/2"],
+       ["kernel", "--n", "48", "--a=-3/2", "--b=3/2", "--format", "json"]]
 )
 
 

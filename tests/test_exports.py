@@ -43,6 +43,7 @@ def test_every_exported_name_resolves(module):
     (OracleConfig(), "rel_tol"),
     (OracleConfig(), "max_depth"),
     (Check, "detail"),
+    (importlib.import_module("hermquad.kernel"), "isolate_roots"),
 ])
 def test_removed_names_are_absent(owner, name):
     assert not hasattr(owner, name)

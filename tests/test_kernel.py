@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermquad import kernel
+from hermquad import cli, kernel, verify
 from hermquad.exactmath import Polynomial, X
 from hermquad.kernel import (
+    KernelSet,
     RootIsolationError,
+    _isolate_roots_exact,
     antiderivative_chain,
-    isolate_roots,
     kernel_abs_integral,
     kernel_from_params,
     kernel_l2sq,
@@ -181,12 +182,12 @@ class TestRootIsolation:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_root_count_matches_order(self, n):
         a, b = Fraction(1, 3), Fraction(7, 2)
-        roots = isolate_roots(rodrigues_kernel(n, a, b), a, b)
+        roots = _isolate_roots_exact(rodrigues_kernel(n, a, b), a, b)
         assert len(roots) == n
-        assert all(float(a) < r < float(b) for r in roots)
+        assert all(a < r < b for r in roots)
 
     def test_n2_roots_are_symmetric(self):
-        roots = isolate_roots(kernel_set(2, 0, 1).kernel, 0, 1)
+        roots = [float(r) for r in _isolate_roots_exact(kernel_set(2, 0, 1).kernel, 0, 1)]
         expected = [0.5 - 0.5 / math.sqrt(3), 0.5 + 0.5 / math.sqrt(3)]
         assert roots == pytest.approx(expected, abs=1e-12)
 
@@ -200,7 +201,7 @@ class TestRootIsolation:
         # Float Horner on the monomial basis loses all significance around
         # degree ~40; the exact-sign scan must still count n roots.
         k = rodrigues_kernel(24, 0, 1)
-        assert len(isolate_roots(k, 0, 1)) == 24
+        assert len(_isolate_roots_exact(k, Fraction(0), Fraction(1))) == 24
         assert kernel_abs_integral(k, 0, 1) > 0.0
 
 
@@ -288,24 +289,16 @@ class TestAffineImage:
             assert vars(ks) == {"n": 3, "a": Fraction(a), "b": Fraction(b)}
             assert not hasattr(ks, "antiderivatives")
 
-    def test_unit_chain_is_built_once_per_order(self, monkeypatch):
-        built = []
-        real = kernel.antiderivative_chain
-
-        def counted(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(kernel, "antiderivative_chain", counted)
+    def test_unit_chain_is_built_once_per_order(self):
         kernel._unit_chain.cache_clear()
         for a, b in [(0, 1), (Fraction(1, 3), Fraction(7, 2)), (Fraction(-9, 4), 2)]:
             ks = kernel_set(6, a, b)
             for k in range(7):
                 ks.member(k), ks.l2sq(k)
             ks.abs_integral(0)
-        assert len(built) == 1
+        assert kernel._unit_chain.cache_info().misses == 1
         kernel_set(5, 0, 1).member(1)
-        assert len(built) == 2
+        assert kernel._unit_chain.cache_info().misses == 2
 
     def test_sign_check_still_raises(self, monkeypatch):
         # K_2's two roots replaced by the midpoint: both segments are negative.
@@ -325,3 +318,56 @@ class TestAffineImage:
                 kernel_set(2, 0, 1).abs_integral(bad)
             with pytest.raises(ValueError, match="chain index"):
                 kernel_set(2, Fraction(1, 3), 2).l2sq(bad)
+
+
+class TestClosedForms:
+    """The chain, the parameters and verify's separators come from closed
+    forms; the matching route is their independent witness."""
+
+    def test_unit_chain_equals_the_matching_route(self):
+        for n in range(1, 65):
+            matched = kernel_from_params(solve_params(n, 0, 1))
+            assert kernel._unit_chain(n) == (matched,) + antiderivative_chain(matched, 0, n)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([32, 48, 64]), intervals())
+    def test_params_equal_the_solved_ones(self, n, interval):
+        a, b = interval
+        assert KernelSet(n, a, b).params == solve_params(n, a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 64])
+    def test_params_on_a_symmetric_interval(self, n):
+        # a + b = 0 gives K the parity of n: delta_i is 0 exactly for odd n - i.
+        a, b = Fraction(-3, 2), Fraction(3, 2)
+        params = KernelSet(n, a, b).params
+        assert params == solve_params(n, a, b)
+        assert len(params.deltas) == n - 1
+        assert [d == 0 for d in params.deltas] == [(n - i) % 2 == 1 for i in range(n - 1)]
+
+    def test_separators_alternate_on_the_unit_interval(self):
+        for n in range(1, 65):
+            points = verify._separators(n, Fraction(0), Fraction(1))
+            assert len(points) == n + 1
+            assert all(x < y for x, y in zip(points, points[1:]))
+            signs = [kernel_set(n, 0, 1).kernel.sign(x) for x in points]
+            assert all(s * t < 0 for s, t in zip(signs, signs[1:])), n
+
+    def test_kernel_and_bounds_never_solve_the_matching_system(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(name, real):
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+
+        for name in ("solve_params", "kernel_from_params", "antiderivative_chain"):
+            monkeypatch.setattr(kernel, name, spy(name, getattr(kernel, name)))
+        for cache in (kernel._unit_chain, kernel._unit_abs_integral, kernel._unit_l2sq):
+            cache.cache_clear()
+        interval = ("--n", "7", "--a=-2/3", "--b=5/4")
+        for fmt in ("json", "csv", "text"):
+            assert cli.main(["kernel", *interval, "--format", fmt]) == 0
+        assert cli.main(["bounds", *interval, "--fn", "exp(x)", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert calls == []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,22 @@ class TestReferenceIntegrate:
         assert not res.converged
         assert res.err_estimate == math.inf
         assert res.panels < 1000
+
+    def test_integrand_is_called_at_one_stack_depth(self):
+        # The first panel and every panel after a split evaluate f from the
+        # same frame, however deep the bisection goes.
+        depths = set()
+
+        def f(x):
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            depths.add(depth)
+            return math.sqrt(x)
+
+        res = reference_integrate(f, 0.0, 1.0)
+        assert res.panels > 50
+        assert len(depths) == 1
 
     def test_config_validation(self):
         assert [f.name for f in dataclasses.fields(OracleConfig)] == ["tol"]
