@@ -163,6 +163,14 @@ def _float_path_inputs(args):
     return a, b, parse(args.fn), _oracle_config(args.tol)
 
 
+def _converged_reference(expr, a, b, cfg):
+    """The reference integral of expr over [a, b]; ConvergenceError unless it converged."""
+    reference = reference_integrate(evaluator(expr), float(a), float(b), cfg)
+    if not reference.converged:
+        raise ConvergenceError("reference integral did not converge", reference)
+    return reference
+
+
 def _cmd_single(args) -> int:
     """``integrate`` and ``bounds``: one interval, one ErrorReport."""
     a, b, expr, cfg = _float_path_inputs(args)
@@ -176,9 +184,7 @@ def _cmd_single(args) -> int:
                 f"use {n}..{2 * n}"
             )
     value = float(integrate_single(jet_provider(expr), n, a, b))
-    reference = reference_integrate(evaluator(expr), float(a), float(b), cfg)
-    if not reference.converged:
-        raise ConvergenceError("reference integral did not converge", reference)
+    reference = _converged_reference(expr, a, b, cfg)
     bounds = {}
     if order is not None:
         ks = kernel_set(n, a, b)
@@ -226,9 +232,7 @@ def _cmd_single(args) -> int:
 def _cmd_composite(args) -> int:
     a, b, expr, cfg = _float_path_inputs(args)
     counts = _parse_panel_counts(args.m)
-    reference = reference_integrate(evaluator(expr), float(a), float(b), cfg)
-    if not reference.converged:
-        raise ConvergenceError("reference integral did not converge", reference)
+    reference = _converged_reference(expr, a, b, cfg)
     node_jets = {}
     provider = jet_provider(expr)
 

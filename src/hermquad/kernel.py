@@ -69,7 +69,13 @@ class KernelParams:
     """Matched free parameters of the reverse-integration-by-parts kernel.
 
     For the parameter set that reproduces the quadrature weights,
-    c = -(a+b)/2 and, for n >= 2, deltas[n-2] = -(b-a)^2 / (8(2n-1)).
+    c = -(a+b)/2 and every delta has a closed form from the Rodrigues form
+    about the midpoint m = (a+b)/2, with r = (b-a)/2:
+
+        deltas[l] = sum_{i=ceil((n+l)/2)}^{n-1}
+                    C(n,i) (2i)! / (2i-n-l)! (-r^2)^(n-i) (-m)^(2i-n-l) / (2n)!,
+
+    so deltas[n-2] = -(b-a)^2 / (8(2n-1)) for n >= 2.
     """
 
     n: int

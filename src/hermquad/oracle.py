@@ -14,7 +14,10 @@ not split: its error estimate is infinite, so the result is unconverged.
 
 ``OracleConfig.tol`` is the one setting: a result is converged when its
 error estimate is at most tol * max(1, |value|) and its value is finite.
-Bisection stops at depth ``_MAX_DEPTH``.
+Bisection stops at depth ``_MAX_DEPTH``.  Once ``_PANEL_BUDGET`` panels
+have been evaluated no panel is split any more, and the result is
+unconverged whatever its error estimate, so an integrand the bisection
+cannot resolve (``sin(1/x)`` near 0) fails in bounded time.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ _SAMPLES = 2 * len(_XGK) + 1
 
 #: Bisection depth after which a panel is accepted as it is.
 _MAX_DEPTH = 48
+
+#: Evaluated panels after which no panel is split and the result is unconverged.
+_PANEL_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -131,11 +137,13 @@ def _refine(f, a: float, b: float, tol: float):
     An explicit stack visits the panels depth first, left before right,
     and sums each split as left + right, so the integrand is always called
     at one stack depth however deep the bisection goes.  A ``None`` entry
-    marks a split whose two halves are done.
+    marks a split whose two halves are done.  Splitting stops once
+    ``_PANEL_BUDGET`` panels have been evaluated.
     """
     panel = _panel(f, a, b)
     todo = [(a, b, panel, tol * max(1.0, abs(panel[0])), 0)]
     done = []
+    evaluated = 1
     while todo:
         task = todo.pop()
         if task is None:
@@ -154,11 +162,13 @@ def _refine(f, a: float, b: float, tol: float):
             err = max(err, hi - lo)
         floor = max(budget, _NOISE_FACTOR * kron_abs)
         too_thin = (hi - lo) <= 1e-15 * max(abs(lo), abs(hi), 1.0)
-        if void or depth >= _MAX_DEPTH or too_thin or (err <= floor and not bad):
+        settled = void or depth >= _MAX_DEPTH or too_thin or (err <= floor and not bad)
+        if settled or evaluated >= _PANEL_BUDGET:
             done.append((kron, err, 1))
             continue
         mid = 0.5 * (lo + hi)
         left, right = _panel(f, lo, mid), _panel(f, mid, hi)
+        evaluated += 2
         budget *= 0.5
         todo += [None, (mid, hi, right, budget, depth + 1), (lo, mid, left, budget, depth + 1)]
     return done[0]
@@ -168,9 +178,9 @@ def reference_integrate(f, a, b, cfg: OracleConfig | None = None) -> IntegralRes
     """Adaptively integrate ``f`` over [a, b].
 
     Returns the value with an error estimate; ``converged`` is False when
-    the value is not finite or the estimate still exceeds
-    tol * max(1, |value|) after the depth limit.  Reversed limits negate
-    the result; empty intervals give 0.
+    the value is not finite, the panel budget is spent, or the estimate
+    still exceeds tol * max(1, |value|) after the depth limit.  Reversed
+    limits negate the result; empty intervals give 0.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -183,5 +193,6 @@ def reference_integrate(f, a, b, cfg: OracleConfig | None = None) -> IntegralRes
         a, b = b, a
         sign = -1.0
     value, err, panels = _refine(f, a, b, cfg.tol)
-    converged = math.isfinite(value) and err <= cfg.tol * max(1.0, abs(value))
+    within_tol = err <= cfg.tol * max(1.0, abs(value))
+    converged = panels < _PANEL_BUDGET and math.isfinite(value) and within_tol
     return IntegralResult(sign * value, err, converged, panels)

@@ -1,8 +1,11 @@
 """Exact identity checks tying the weight, interpolant, and kernel routes together.
 
 Everything here runs in rational arithmetic, so a check either holds
-exactly or fails; there are no tolerances.  The CLI ``verify`` subcommand
-prints one line per check.
+exactly or fails; there are no tolerances.  Each identity is checked once,
+on the basis that defines it: the rule on x^0..x^(2n) in one pass, the
+interpolant on the 2n unit jets, whose integrals are the weights, and
+every kernel parameter against its closed form.  The CLI ``verify``
+subcommand prints one line per check.
 """
 
 from __future__ import annotations
@@ -51,8 +54,44 @@ def _separators(n: int, a: Fraction, b: Fraction) -> list:
     return [a, *(a + (b - a) * (1 - t) / 2 for t in cuts), b]
 
 
+def _closed_deltas(n: int, a: Fraction, b: Fraction) -> tuple:
+    """The matched kernel parameters delta_0..delta_{n-2}, read off the Rodrigues form.
+
+    With m = (a+b)/2 and r = (b-a)/2 the Rodrigues form expands about the
+    midpoint as
+
+        K = D^n ((x-m)^2 - r^2)^n / (2n)!
+          = sum_i C(n,i) (-r^2)^(n-i) (2i)! / ((2n)! (2i-n)!) (x-m)^(2i-n),
+
+    whose i = n term is (x+c)^n / n!.  So delta_l = l! [x^l] (K - (x+c)^n / n!)
+    is the l-th derivative at 0 of the terms i < n:
+
+        delta_l = sum_{i=ceil((n+l)/2)}^{n-1}
+                  C(n,i) (2i)! / (2i-n-l)! (-r^2)^(n-i) (-m)^(2i-n-l) / (2n)!.
+
+    Nothing here uses the weights or the matching system.
+    """
+    m, r2 = Fraction(a + b, 2), Fraction(b - a, 2) ** 2
+    return tuple(
+        sum(
+            math.comb(n, i) * math.perm(2 * i, n + l) * (-r2) ** (n - i)
+            * (-m) ** (2 * i - n - l)
+            for i in range((n + l + 1) // 2, n)
+        ) / math.factorial(2 * n)
+        for l in range(n - 1)
+    )
+
+
 def run_checks(n: int, a=0, b=1) -> list:
-    """Run the exact identity suite for order n on [a, b]."""
+    """Run the exact identity suite for order n on [a, b].
+
+    The rule's defects on x^0..x^(2n) come from one ``apply_rule`` call per
+    monomial: the first 2n vanish and the last is the first failure.  The
+    interpolant of each unit jet pair (a 1 at index j of one endpoint, 0
+    elsewhere) integrates to the matching weight, which by linearity proves
+    the identity for every jet pair.  All n-1 solved kernel parameters equal
+    their closed forms.
+    """
     a, b = rational_interval(a, b)
     checks = []
     rule = compute_weights(n, a, b)
@@ -70,14 +109,24 @@ def run_checks(n: int, a=0, b=1) -> list:
         Check("weight sum w_a[0] + w_b[0] = b - a", rule.w_a[0] + rule.w_b[0] == width)
     )
 
-    exact = interp_ok = True
-    for d in range(2 * n):
-        pair = JetPair(a, b, _monomial_jets(d, n, a), _monomial_jets(d, n, b))
-        value = apply_rule(rule, pair.jet_a, pair.jet_b)
-        exact = exact and value == Polynomial.monomial(d).integrate(a, b)
-        interp_ok = interp_ok and build_hermite(pair).integrate(a, b) == value
-    checks.append(Check(f"exact on monomials x^d, d <= {2 * n - 1}", exact))
-    checks.append(Check("interpolant integral equals the weighted rule", interp_ok))
+    # One pass over x^0..x^(2n): defects[d] = integral of x^d minus its rule value.
+    defects = [
+        Polynomial.monomial(d).integrate(a, b)
+        - apply_rule(rule, _monomial_jets(d, n, a), _monomial_jets(d, n, b))
+        for d in range(2 * n + 1)
+    ]
+    checks.append(Check(f"exact on monomials x^d, d <= {2 * n - 1}", not any(defects[:-1])))
+    # The interpolant is linear in its jets, so the 2n unit jet pairs prove
+    # it for every pair: each weight is the integral of one cardinal function.
+    zero = (0,) * n
+    units = [zero[:j] + (1,) + zero[j + 1:] for j in range(n)]
+    cardinal = (
+        tuple(build_hermite(JetPair(a, b, e, zero)).integrate(a, b) for e in units),
+        tuple(build_hermite(JetPair(a, b, zero, e)).integrate(a, b) for e in units),
+    )
+    checks.append(
+        Check("interpolant integral equals the weighted rule", cardinal == (rule.w_a, rule.w_b))
+    )
 
     rod = rodrigues_kernel(n, a, b)
     checks.append(Check("matched kernel equals its Rodrigues form", kern == rod))
@@ -130,33 +179,16 @@ def run_checks(n: int, a=0, b=1) -> list:
     )
 
     if n >= 2:
-        expected = {n - 2: -(width ** 2) / Fraction(8 * (2 * n - 1))}
-        if n >= 3:
-            expected[n - 3] = (a + b) * width ** 2 / Fraction(16 * (2 * n - 1))
-        if n >= 4:
-            expected[n - 4] = (
-                width ** 2
-                * (width ** 2 + (6 - 4 * n) * (a + b) ** 2)
-                / Fraction(128 * (2 * n - 3) * (2 * n - 1))
-            )
-        checks.append(
-            Check(
-                "leading kernel parameters match their closed forms",
-                all(params.deltas[i] == v for i, v in expected.items()),
-            )
-        )
+        name = "leading kernel parameters match their closed forms"
+        checks.append(Check(name, params.deltas == _closed_deltas(n, a, b)))
 
-    true_value = Polynomial.monomial(2 * n).integrate(a, b)
-    rule_value = apply_rule(
-        rule, _monomial_jets(2 * n, n, a), _monomial_jets(2 * n, n, b)
-    )
     first_failure = Fraction(
         (-1) ** n * math.factorial(n) ** 2, math.factorial(2 * n + 1)
     ) * width ** (2 * n + 1)
     checks.append(
         Check(
             "error on x^(2n) equals (-1)^n (n!)^2 (b-a)^(2n+1) / (2n+1)!",
-            true_value - rule_value == first_failure,
+            defects[-1] == first_failure,
         )
     )
 

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -277,7 +279,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_one_rule_value_per_monomial_feeds_both_checks(self, monkeypatch, n):
-        # x^d for d < 2n, then x^(2n) for the first failure.
+        # x^d for d < 2n, then x^(2n) for the first failure.  The interpolant
+        # is checked against the weights, so a wrong rule value leaves it alone.
         calls = []
 
         def off_by_one(rule, jet_a, jet_b):
@@ -289,9 +292,49 @@ class TestVerifyCommand:
         assert len(calls) == 2 * n + 1
         assert failed == [
             f"exact on monomials x^d, d <= {2 * n - 1}",
-            "interpolant integral equals the weighted rule",
             "error on x^(2n) equals (-1)^n (n!)^2 (b-a)^(2n+1) / (2n+1)!",
         ]
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_interpolant_is_built_once_per_unit_jet(self, monkeypatch, n):
+        pairs = []
+        real = verify.build_hermite
+
+        def spy(pair):
+            pairs.append(pair)
+            return real(pair)
+
+        monkeypatch.setattr(verify, "build_hermite", spy)
+        assert all(check.passed for check in verify.run_checks(n, "-2/3", "5/4"))
+        assert len(pairs) == 2 * n
+        entries = [pair.jet_a + pair.jet_b for pair in pairs]
+        assert all(sum(v != 0 for v in jets) == 1 for jets in entries)
+        assert sorted(jets.index(1) for jets in entries) == list(range(2 * n))
+
+    @pytest.mark.parametrize("side,j", [(side, j) for side in ("a", "b") for j in range(3)])
+    def test_interpolant_check_sees_each_unit_jet(self, monkeypatch, side, j):
+        real = verify.build_hermite
+        unit = tuple(int(i == j) for i in range(3))
+
+        def off_at_one_jet(pair):
+            return real(pair) + int(getattr(pair, f"jet_{side}") == unit)
+
+        monkeypatch.setattr(verify, "build_hermite", off_at_one_jet)
+        failed = [check.name for check in verify.run_checks(3, "-2/3", "5/4") if not check.passed]
+        assert failed == ["interpolant integral equals the weighted rule"]
+
+    def test_every_kernel_parameter_is_checked(self, monkeypatch, capsys):
+        # delta_0 of order 8 lies below the three leading parameters.
+        real = verify.solve_params
+
+        def perturbed(n, a, b):
+            params = real(n, a, b)
+            return dataclasses.replace(params, deltas=(params.deltas[0] + 1, *params.deltas[1:]))
+
+        monkeypatch.setattr(verify, "solve_params", perturbed)
+        code, out, _ = run(capsys, "verify", "--n", "8", "--a=0.3141593", "--b=1.4142136")
+        assert code == 2
+        assert re.search(r"^FAIL  leading kernel parameters match their closed forms", out, re.M)
 
 
     def test_sign_change_check_fails_without_sign_changes(self, monkeypatch, capsys):
@@ -477,6 +520,16 @@ class TestNonFiniteIntegrand:
             " (value=inf, err=inf)\n"
         )
         assert results[0].panels < 1000
+
+    def test_unresolvable_reference_exits_2_within_its_budget(self, capsys):
+        # sin(1/x) oscillates faster than any panel near 0: before the panel
+        # budget the reference bisection ran for minutes.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "--n", "2", "--a=1/1000000", "--b=1",
+                             "--fn", "sin(1/x)")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err.startswith("hermquad: numerical failure: reference integral did not converge")
 
     @pytest.mark.parametrize("fn,reason", [
         ("exp(1000*x)", "exp beyond the double range in 'exp((1000 * x))'"),

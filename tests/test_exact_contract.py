@@ -49,6 +49,8 @@ CASES = (
     + [["verify", "--n", "64", f"--a={INTERVALS[2][0]}", f"--b={INTERVALS[2][1]}"],
        ["verify", "--n", "12", "--a=-3/2", "--b=3/2"],
        ["kernel", "--n", "48", "--a=-3/2", "--b=3/2", "--format", "json"]]
+    # An order with more kernel parameters than the three leading ones.
+    + [["verify", "--n", "8", f"--a={INTERVALS[2][0]}", f"--b={INTERVALS[2][1]}"]]
 )
 
 

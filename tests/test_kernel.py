@@ -335,6 +335,13 @@ class TestClosedForms:
         a, b = interval
         assert KernelSet(n, a, b).params == solve_params(n, a, b)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=64), intervals())
+    def test_verify_closed_deltas_equal_the_solved_and_read_ones(self, n, interval):
+        a, b = interval
+        closed = verify._closed_deltas(n, a, b)
+        assert closed == solve_params(n, a, b).deltas == kernel_set(n, a, b).params.deltas
+
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 64])
     def test_params_on_a_symmetric_interval(self, n):
         # a + b = 0 gives K the parity of n: delta_i is 0 exactly for odd n - i.

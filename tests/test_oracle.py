@@ -169,6 +169,17 @@ class TestReferenceIntegrate:
         assert res.panels > 50
         assert len(depths) == 1
 
+    def test_panel_budget_stops_splitting(self, monkeypatch):
+        full = reference_integrate(math.sqrt, 0.0, 1.0)
+        assert full.converged
+        # A budget the integral stays under changes nothing.
+        monkeypatch.setattr(oracle, "_PANEL_BUDGET", full.panels + 1)
+        assert reference_integrate(math.sqrt, 0.0, 1.0) == full
+        # A spent budget splits no more panels and is never converged.
+        monkeypatch.setattr(oracle, "_PANEL_BUDGET", 9)
+        cut = reference_integrate(math.sqrt, 0.0, 1.0)
+        assert (cut.converged, cut.panels) == (False, 9)
+
     def test_config_validation(self):
         assert [f.name for f in dataclasses.fields(OracleConfig)] == ["tol"]
         assert OracleConfig().tol == 1e-12
