@@ -23,6 +23,19 @@ exp(e * log(base)), restricted to positive bases.  A literal longer than
 MAX_LITERAL_DIGITS is a ParseError; a folded constant wider than
 MAX_CONSTANT_BITS bits, and a literal or rational exponent beyond the
 double range, is an EvalDomainError when it is evaluated.
+
+Products are priced by degree.  The walk records each node's degree as a
+polynomial in x (a constant 0, x 1, sums the max, products the sum, an
+integer power the multiple, anything else dense) and picks each product's
+rule once: a scale for a constant times a jet, else a Cauchy product over
+the band of terms below both degrees, which integer powers use too.  Every
+result is bit for bit the dense product's: the terms left out are signed
+zeros, each sum starts as the dense sum does, and an operand holding inf
+or nan takes the dense product.  The other rules run over every term.
+
+The same walk builds the batch form: each node's order-0 value at a list
+of points, one float for a node that does not depend on x.  ``evaluator``
+evaluates through it, one point or a whole list at once.
 """
 
 from __future__ import annotations
@@ -335,9 +348,49 @@ def _constant(value: float, m: int) -> list:
     return out
 
 
-def _mul(u, v):
-    m = len(u)
-    return [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(m)]
+_MUL = operator.mul
+
+
+# The degree-priced product.  Every entry of a jet of degree d above t_d is
+# a signed zero while the jet is finite, so a product term with such a
+# factor is a signed zero too.  Leaving such terms out of a sum changes
+# nothing when the sum starts as the dense one does: from 0, which turns a
+# lone -0.0 into +0.0, after which a running sum is never -0.0.  Since
+# 0 * inf is nan, an operand with an inf or nan entry takes the dense sum.
+
+
+def _dense_mul(u, v):
+    """The Cauchy product, t_k = u_0 v_k + u_1 v_{k-1} + ... + u_k v_0 summed from 0."""
+    rv = v[::-1]
+    top = len(u) - 1
+    return [sum(map(_MUL, u[:k + 1], rv[top - k:])) for k in range(top + 1)]
+
+
+def _mul(u, v, du=None, dv=None):
+    """The Cauchy product of jets of degrees du and dv (None: dense): a scale
+    when one is a constant, else the band of terms below both degrees."""
+    top = len(u) - 1
+    if du is None or du > top:
+        du = top
+    if dv is None or dv > top:
+        dv = top
+    if du == top == dv or not math.isfinite(sum(u) + sum(v)):
+        return _dense_mul(u, v)
+    if du == 0:
+        c = u[0]
+        return [0.0 + c * t for t in v]
+    if dv == 0:
+        c = v[0]
+        return [0.0 + t * c for t in u]
+    rv = v[::-1]
+    out = []
+    last = min(top, du + dv)  # above it every band is empty
+    for k in range(last + 1):
+        lo = k - dv if k > dv else 0
+        hi = k if k < du else du
+        out.append(sum(map(_MUL, u[lo:hi + 1], rv[top - k + lo:top - k + hi + 1])))
+    out += [0.0] * (top - last)
+    return out
 
 
 def _div(u, v, node):
@@ -421,43 +474,132 @@ def _sin_cos(u, node):
 _MAX_INT_EXPONENT = 1 << 20
 
 
-def _powi(u, exponent, node):
+def _powi(u, exponent, node, du=None):
+    """u^exponent by binary exponentiation; du is u's degree (None: dense)."""
     if abs(exponent) > _MAX_INT_EXPONENT:
         raise EvalDomainError(f"integer exponent exceeds {_MAX_INT_EXPONENT} in magnitude", node)
     one = _constant(1.0, len(u) - 1)
     if exponent == 0:
         return one
     e = abs(exponent)
-    result = one
-    base = list(u)
+    result, dr = one, 0
+    base, db = u, du
     while e:
         if e & 1:
-            result = _mul(result, base)
+            result = _mul(result, base, dr, db)
+            dr = None if db is None else dr + db
         e >>= 1
         if e:
-            base = _mul(base, base)
+            base = _mul(base, base, db, db)
+            db = None if db is None else 2 * db
     if exponent < 0:
         result = _div(one, result, node)
     return result
 
 
-#: Function name -> jet rule (u, node); the parser accepts exactly these names.
+# -- batch form ---------------------------------------------------------
+# Each node's order-0 value over a list of points: a list, or one float for
+# a node that is the same at every point.  Each rule does at every point the
+# operations the jet rules do at order 0, so the values are bit for bit
+# theirs.  A rule raises when its check fails at any point.
+
+
+def _plus(u, v):
+    if type(u) is list:
+        return [p + q for p, q in zip(u, v)] if type(v) is list else [p + v for p in u]
+    return [u + q for q in v] if type(v) is list else u + v
+
+
+def _minus(u, v):
+    if type(u) is list:
+        return [p - q for p, q in zip(u, v)] if type(v) is list else [p - v for p in u]
+    return [u - q for q in v] if type(v) is list else u - v
+
+
+def _times(u, v):
+    """The order-0 Cauchy product, 0 + u*v."""
+    if type(u) is list:
+        return [0.0 + p * q for p, q in zip(u, v)] if type(v) is list else [0.0 + p * v for p in u]
+    return [0.0 + u * q for q in v] if type(v) is list else 0.0 + u * v
+
+
+def _over(u, v, node):
+    try:
+        if type(u) is list:
+            return [p / q for p, q in zip(u, v)] if type(v) is list else [p / v for p in u]
+        return [u / q for q in v] if type(v) is list else u / v
+    except ZeroDivisionError:
+        raise EvalDomainError("division by zero", node) from None
+
+
+def _negated(u):
+    return [-t for t in u] if type(u) is list else -u
+
+
+def _exp_many(u, node):
+    try:
+        return list(map(math.exp, u)) if type(u) is list else math.exp(u)
+    except OverflowError:
+        raise EvalDomainError("exp beyond the double range", node) from None
+
+
+def _log_many(u, node, message="log of a non-positive value"):
+    try:  # math.log rejects exactly the non-positive values
+        return list(map(math.log, u)) if type(u) is list else math.log(u)
+    except ValueError:
+        raise EvalDomainError(message, node) from None
+
+
+def _sqrt_many(u, node):
+    message = "sqrt of a non-positive value"
+    if (0.0 in u) if type(u) is list else u == 0.0:  # the jet rule rejects zero too
+        raise EvalDomainError(message, node)
+    try:  # math.sqrt rejects exactly the negative values
+        return list(map(math.sqrt, u)) if type(u) is list else math.sqrt(u)
+    except ValueError:
+        raise EvalDomainError(message, node) from None
+
+
+def _trig_many(fn):
+    def many(u, node):
+        try:  # math.sin and math.cos reject exactly the infinities
+            return list(map(fn, u)) if type(u) is list else fn(u)
+        except ValueError:
+            raise EvalDomainError(f"{node.name} of an infinite value", node) from None
+
+    return many
+
+
+def _powi_many(u, exponent, node):
+    if abs(exponent) > _MAX_INT_EXPONENT:
+        raise EvalDomainError(f"integer exponent exceeds {_MAX_INT_EXPONENT} in magnitude", node)
+    if exponent == 0:
+        return 1.0
+    e = abs(exponent)
+    result, base = 1.0, u
+    while e:
+        if e & 1:
+            result = _times(result, base)
+        e >>= 1
+        if e:
+            base = _times(base, base)
+    return _over(1.0, result, node) if exponent < 0 else result
+
+
+#: Function name -> (jet rule (u, node), batch rule (u, node)); the parser
+#: accepts exactly these names.
 _CALLS = {
-    "sin": lambda u, node: _sin_cos(u, node)[0],
-    "cos": lambda u, node: _sin_cos(u, node)[1],
-    "exp": _exp,
-    "log": _log,
-    "sqrt": _sqrt,
+    "sin": (lambda u, node: _sin_cos(u, node)[0], _trig_many(math.sin)),
+    "cos": (lambda u, node: _sin_cos(u, node)[1], _trig_many(math.cos)),
+    "exp": (_exp, _exp_many),
+    "log": (_log, _log_many),
+    "sqrt": (_sqrt, _sqrt_many),
 }
 FUNCTIONS = tuple(_CALLS)
 
-#: Operator -> (exact rule, jet rule (u, v, node) -> jet); "^" jets come from _power.
-_BINARY = {
-    "+": (operator.add, lambda u, v, node: [p + q for p, q in zip(u, v)]),
-    "-": (operator.sub, lambda u, v, node: [p - q for p, q in zip(u, v)]),
-    "*": (operator.mul, lambda u, v, node: _mul(u, v)),
-    "/": (operator.truediv, _div),
-    "^": (operator.pow, None),
+#: Operator -> exact rule.
+_EXACT = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow,
 }
 
 _TOO_WIDE = object()
@@ -472,7 +614,7 @@ def _fold(op: str, left, right):
     if (abs(right) * lw if op == "^" else lw + rw + 1) > MAX_CONSTANT_BITS:  # a sum may carry
         return _TOO_WIDE
     try:
-        return _BINARY[op][0](left, right)
+        return _EXACT[op](left, right)
     except ZeroDivisionError:
         return None
 
@@ -481,70 +623,129 @@ class Compiled(NamedTuple):
     """What ``Expr.compiled`` holds."""
 
     jet: Callable  # (x0, m) -> [t_0..t_m]
+    many: Callable  # list of points -> their values (one float if it does not depend on x)
     exact: Fraction | None  # the value, when the expression is an exact rational
+    degree: int | None  # the degree as a polynomial in x; None if it is not one
 
 
 def _double(value: Fraction, node) -> Callable:
-    """A call returning ``value`` as a double, converted once; beyond the
-    double range the call raises a domain error naming ``node``."""
+    """A call returning ``value`` as a double, converted once, whatever its
+    argument (a literal's batch rule is this call); beyond the double range
+    the call raises a domain error naming ``node``."""
     try:
         number = float(value)
     except OverflowError:
-        def beyond():
+        def beyond(_=None):
             raise EvalDomainError("constant beyond the double range", node)
 
         return beyond
-    return lambda: number
+    return lambda _=None: number
 
 
-def _power(base, exponent, value, node):
-    """The jet function of base^exponent; ``value`` is the exponent's exact value or None."""
+def _arith(op, left: Compiled, right: Compiled, node) -> Compiled:
+    """The rules of left op right for + - * /; the exact value is left to the caller."""
+    ljet, lmany, _, dl = left
+    rjet, rmany, _, dr = right
+    dense = dl is None or dr is None
+    if op in "+-":
+        pointwise = _plus if op == "+" else _minus
+        degree = None if dense else max(dl, dr)
+
+        def rule(u, v, node):
+            return pointwise(u, v)
+
+        def many(xs):
+            return pointwise(lmany(xs), rmany(xs))
+    elif op == "*":
+        if dl is None and dr is None:
+            def rule(u, v, node):
+                return _dense_mul(u, v)
+        else:
+            def rule(u, v, node):
+                return _mul(u, v, dl, dr)
+        degree = None if dense else dl + dr
+
+        def many(xs):
+            return _times(lmany(xs), rmany(xs))
+    else:
+        rule, degree = _div, None
+
+        def many(xs):
+            return _over(lmany(xs), rmany(xs), node)
+    return Compiled(lambda x0, m: rule(ljet(x0, m), rjet(x0, m), node), many, None, degree)
+
+
+def _power(base: Compiled, exponent: Compiled, node) -> Compiled:
+    """The rules of base^exponent; the exact value is left to the caller."""
+    bjet, bmany, _, db = base
+    ejet, emany, value, de = exponent
     if value is not None and value.denominator == 1:
-        return lambda x0, m: _powi(base(x0, m), value.numerator, node)
+        e = value.numerator
+        degree = 0 if e == 0 or db == 0 else (None if db is None or e < 0 else db * e)
+        return Compiled(lambda x0, m: _powi(bjet(x0, m), e, node, db),
+                        lambda xs: _powi_many(bmany(xs), e, node), None, degree)
     scale = None if value is None else _double(value, node.right)
 
     def jet(x0, m):
-        b, e = base(x0, m), (exponent(x0, m) if value is None else None)
+        b, e = bjet(x0, m), (ejet(x0, m) if value is None else None)
         if b[0] <= 0.0:
             raise EvalDomainError("non-integer power of a non-positive base", node)
         log_b = _log(b, node)  # a rational exponent scales it in O(m)
-        return _exp(_mul(e, log_b) if value is None else [scale() * t for t in log_b], node)
+        return _exp(_mul(e, log_b, de) if value is None else [scale() * t for t in log_b], node)
 
-    return jet
+    def many(xs):
+        b, e = bmany(xs), (emany(xs) if value is None else None)
+        log_b = _log_many(b, node, "non-integer power of a non-positive base")
+        if value is None:
+            return _exp_many(_times(e, log_b), node)
+        s = scale()
+        return _exp_many([s * t for t in log_b] if type(log_b) is list else s * log_b, node)
+
+    return Compiled(jet, many, None, None)
 
 
 def _compile(node: Expr) -> Compiled:
-    """One walk: fold exact rational subtrees and build each node's jet function.
-    Jets run operands left to right, a base before its exponent, and raise
-    a literal's range error only then, so errors surface in evaluation order."""
+    """One walk: fold exact rational subtrees, record each node's degree, and
+    build each node's jet and batch rules.  Jets run operands left to right,
+    a base before its exponent, and raise a literal's range error only then,
+    so errors surface in evaluation order."""
     match node:
         case Num(value):
             number = _double(value, node)
-            return Compiled(lambda x0, m: _constant(number(), m), value)
+            return Compiled(lambda x0, m: _constant(number(), m), number, value, 0)
         case Pi():
-            return Compiled(lambda x0, m: _constant(math.pi, m), None)
+            return Compiled(lambda x0, m: _constant(math.pi, m), lambda xs: math.pi, None, 0)
         case Var():  # x0 + (x - x0)
-            return Compiled(lambda x0, m: ([x0, 1.0] + [0.0] * (m - 1))[:m + 1], None)
+            return Compiled(lambda x0, m: ([x0, 1.0] + [0.0] * (m - 1))[:m + 1], lambda xs: xs,
+                            None, 1)
         case Neg(arg):
-            arg, exact = _compile(arg)
-            return Compiled(lambda x0, m: [-t for t in arg(x0, m)], None if exact is None else -exact)
+            jet, many, exact, degree = _compile(arg)
+            return Compiled(lambda x0, m: [-t for t in jet(x0, m)],
+                            lambda xs: _negated(many(xs)),
+                            None if exact is None else -exact, degree)
         case Call(name, arg):
-            rule, arg = _CALLS[name], _compile(arg).jet
-            return Compiled(lambda x0, m: rule(arg(x0, m), node), None)
+            rule, rule_many = _CALLS[name]
+            jet, many, _, _ = _compile(arg)
+            return Compiled(lambda x0, m: rule(jet(x0, m), node),
+                            lambda xs: rule_many(many(xs), node), None, None)
         case BinOp(op, left, right):
-            (left, left_exact), (right, right_exact) = _compile(left), _compile(right)
-            rule = _BINARY[op][1]
-            jet = (_power(left, right, right_exact, node) if op == "^"
-                   else lambda x0, m: rule(left(x0, m), right(x0, m), node))
-            exact = _fold(op, left_exact, right_exact)
+            left, right = _compile(left), _compile(right)
+            compiled = _power(left, right, node) if op == "^" else _arith(op, left, right, node)
+            exact = _fold(op, left.exact, right.exact)
             if exact is not _TOO_WIDE:
-                return Compiled(jet, exact)
+                return compiled._replace(exact=exact)
+            jet, many = compiled.jet, compiled.many
+            message = f"exact constant wider than {MAX_CONSTANT_BITS} bits"
 
             def too_wide(x0, m):  # the node's own errors, such as a huge exponent, come first
                 jet(x0, m)
-                raise EvalDomainError(f"exact constant wider than {MAX_CONSTANT_BITS} bits", node)
+                raise EvalDomainError(message, node)
 
-            return Compiled(too_wide, None)
+            def too_wide_many(xs):
+                many(xs)
+                raise EvalDomainError(message, node)
+
+            return compiled._replace(jet=too_wide, many=too_wide_many)
 
 
 def jet_eval(expr: Expr, x0, m: int) -> TaylorJet:
@@ -566,11 +767,25 @@ def jet_provider(expr: Expr):
 
 
 def evaluator(expr: Expr):
-    """Plain float evaluation, x -> f(x)."""
+    """Plain float evaluation, x -> f(x).
+
+    Its attribute ``many`` maps a list of floats to their values in one
+    pass of the batch form.  If that raises, the points are evaluated one
+    at a time, so the error is the one the first failing point raises.
+    """
+
+    def many(xs):
+        compiled = expr.compiled
+        try:
+            values = compiled.many(xs)
+        except EvalDomainError:
+            return [compiled.jet(x, 0)[0] for x in xs]
+        return values if type(values) is list else [values] * len(xs)
 
     def value(x):
-        return expr.compiled.jet(float(x), 0)[0]
+        return many([float(x)])[0]
 
+    value.many = many
     return value
 
 

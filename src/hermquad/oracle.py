@@ -5,6 +5,10 @@ This is deliberately unrelated to the endpoint-derivative rules elsewhere
 in the package: it samples interior nodes only and needs no derivatives,
 so it can serve as an impartial referee for their errors.
 
+Each panel takes its 15 samples from one call: ``f.many(points)`` when the
+integrand has that attribute (as ``expressions.evaluator`` gives it), and
+otherwise f at each point in turn, so any scalar callable works.
+
 Non-finite integrand samples (inf/nan, e.g. at an integrable endpoint or
 interior singularity) taint a panel: tainted panels are forced to split
 until the depth limit, after which the non-finite samples count as zero
@@ -102,32 +106,39 @@ class ConvergenceError(RuntimeError):
 _NOISE_FACTOR = 50.0 * 2.220446049250313e-16
 
 
+_W0, _W1, _W2, _W3, _W4, _W5, _W6 = _WGK
+_G0, _G1, _G2 = _WG
+_X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK
+
+
 def _panel(f, lo: float, hi: float):
-    """One embedded evaluation: (kronrod, gauss, kronrod of |f|, non-finite samples)."""
+    """One embedded evaluation: (kronrod, gauss, kronrod of |f|, non-finite samples).
+
+    The 15 points, center first and then each (left, right) pair from the
+    outside in, are sampled in one call of ``f.many`` when f has it, else
+    of f at each point in turn.  The rules are written out term by term:
+    each sum adds from the center term outwards."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
+    d0, d1, d2, d3, d4, d5, d6 = (half * _X0, half * _X1, half * _X2, half * _X3,
+                                  half * _X4, half * _X5, half * _X6)
+    points = [center, center - d0, center + d0, center - d1, center + d1, center - d2, center + d2,
+              center - d3, center + d3, center - d4, center + d4, center - d5, center + d5,
+              center - d6, center + d6]
+    many = getattr(f, "many", None)
+    samples = [float(f(x)) for x in points] if many is None else many(points)
     bad = 0
-
-    def sample(x):
-        nonlocal bad
-        v = float(f(x))
-        if not math.isfinite(v):
-            bad += 1
-            return 0.0
-        return v
-
-    fc = sample(center)
-    kron = _WGK_CENTER * fc
-    kron_abs = _WGK_CENTER * abs(fc)
-    gauss = _WG_CENTER * fc
-    for i, xi in enumerate(_XGK):
-        dx = half * xi
-        left = sample(center - dx)
-        right = sample(center + dx)
-        kron += _WGK[i] * (left + right)
-        kron_abs += _WGK[i] * (abs(left) + abs(right))
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * (left + right)
+    if not math.isfinite(sum(samples)):  # a sum that overflows only costs this check
+        bad = sum(not math.isfinite(v) for v in samples)
+        samples = [v if math.isfinite(v) else 0.0 for v in samples]
+    fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = samples
+    p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
+    kron = (_WGK_CENTER * fc + _W0 * (l0 + r0) + _W1 * p1 + _W2 * (l2 + r2) + _W3 * p3
+            + _W4 * (l4 + r4) + _W5 * p5 + _W6 * (l6 + r6))
+    gauss = _WG_CENTER * fc + _G0 * p1 + _G1 * p3 + _G2 * p5
+    kron_abs = (_WGK_CENTER * abs(fc) + _W0 * (abs(l0) + abs(r0)) + _W1 * (abs(l1) + abs(r1))
+                + _W2 * (abs(l2) + abs(r2)) + _W3 * (abs(l3) + abs(r3)) + _W4 * (abs(l4) + abs(r4))
+                + _W5 * (abs(l5) + abs(r5)) + _W6 * (abs(l6) + abs(r6)))
     return half * kron, half * gauss, half * kron_abs, bad
 
 
@@ -147,23 +158,25 @@ def _refine(f, a: float, b: float, tol: float):
     while todo:
         task = todo.pop()
         if task is None:
-            (lv, le, lp), (rv, re, rp) = done[-2:]
-            done[-2:] = [(lv + rv, le + re, lp + rp + 1)]
+            rv, re, rp = done.pop()
+            lv, le, lp = done[-1]
+            done[-1] = (lv + rv, le + re, lp + rp + 1)
             continue
         lo, hi, (kron, gauss, kron_abs, bad), budget, depth = task
         err = abs(kron - gauss)
-        # Nothing is known of f here, or its finite samples overflow the
-        # rule sums, which no split can fix: every branch would run to the
-        # depth limit.
-        void = bad == _SAMPLES or not math.isfinite(err)
-        if void:
-            err = math.inf
-        elif bad:
+        if bad == _SAMPLES or not math.isfinite(err):
+            # Nothing is known of f here, or its finite samples overflow the
+            # rule sums, which no split can fix: every branch would run to
+            # the depth limit.
+            done.append((kron, math.inf, 1))
+            continue
+        if bad:
             err = max(err, hi - lo)
-        floor = max(budget, _NOISE_FACTOR * kron_abs)
+        elif err <= budget or err <= _NOISE_FACTOR * kron_abs:
+            done.append((kron, err, 1))
+            continue
         too_thin = (hi - lo) <= 1e-15 * max(abs(lo), abs(hi), 1.0)
-        settled = void or depth >= _MAX_DEPTH or too_thin or (err <= floor and not bad)
-        if settled or evaluated >= _PANEL_BUDGET:
+        if depth >= _MAX_DEPTH or too_thin or evaluated >= _PANEL_BUDGET:
             done.append((kron, err, 1))
             continue
         mid = 0.5 * (lo + hi)

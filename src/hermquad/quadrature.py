@@ -18,7 +18,8 @@ sampling, so the bounds are estimates rather than rigorous enclosures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import ClassVar, NamedTuple
 
 from .exactmath import rational
@@ -45,9 +46,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Strictly increasing nodes x_0 < ... < x_m covering [x_0, x_m]."""
+    """Strictly increasing nodes x_0 < ... < x_m covering [x_0, x_m].
+
+    ``step`` is the common panel width of a partition made by ``uniform``
+    (exact), else None; it is not a constructor argument."""
 
     nodes: tuple
+    step: Fraction | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -65,7 +70,9 @@ class Partition:
         a = rational(a)
         b = rational(b)
         step = (b - a) / m
-        return cls(tuple(a + k * step for k in range(m)) + (b,))
+        partition = cls(tuple(a + k * step for k in range(m)) + (b,))
+        object.__setattr__(partition, "step", step)
+        return partition
 
 
 @dataclass(frozen=True)
@@ -149,20 +156,26 @@ def integrate_composite(jets, n: int, partition: Partition):
 
         sum_j w_a[j] * (f^(j)(x_i) + (-1)^j f^(j)(x_{i+1})).
 
-    Nodes are read as exact rationals, and panels of equal width share one
-    rule.  Adjacent panels share the jet at their common node.  When every
-    jet entry is a float, each rule's weights are rounded to doubles once,
-    which is what ``Fraction * float`` would do on every panel; other jets
-    keep the exact weights.
+    ``jets`` is called once per node, in node order, and adjacent panels
+    share the jet at their common node.  Nodes are read as exact
+    rationals; a uniform partition's width is its ``step``, formed once.
+    Consecutive panels of equal width share one rule.  When every jet entry
+    is a float, each rule's weights are rounded to doubles once, which is
+    what ``Fraction * float`` would do on every panel; other jets keep the
+    exact weights.
     """
     nodes = partition.nodes
     node_jets = [jets(x, n - 1) for x in nodes]
     floats = all(isinstance(v, float) for jet in node_jets for v in jet[:n])
-    rule = None
+    if partition.step is None:
+        widths = [rational(x1) - rational(x0) for x0, x1 in zip(nodes, nodes[1:])]
+    else:
+        widths = [partition.step] * (len(nodes) - 1)
+    width = None
     total = 0
-    for x0, x1, left, right in zip(nodes, nodes[1:], node_jets, node_jets[1:]):
-        h = rational(x1) - rational(x0)
-        if rule is None or rule.b != h:
+    for h, left, right in zip(widths, node_jets, node_jets[1:]):
+        if h is not width and h != width:
+            width = h
             rule = compute_weights(n, 0, h)
             weights = tuple(map(float, rule.w_a)) if floats else rule.w_a
         for j, w in enumerate(weights):

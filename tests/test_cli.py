@@ -164,6 +164,21 @@ class TestCompositeCommand:
         assert run(capsys, *argv) == want
         assert len(nodes) == len(set(nodes)) == 7
 
+    def test_node_jets_follow_their_node_whatever_the_call_order(self, capsys, monkeypatch):
+        # The memo key comes from the node asked for, not from how many were asked before.
+        composite = cli.integrate_composite
+
+        def reversed_twice(jets, n, partition):
+            for x in partition.nodes[::-1]:
+                jets(x, n - 1)
+            return composite(jets, n, partition)
+
+        argv = ("composite", "--n", "3", "--a", "0", "--b", "1", "--fn", "exp(x)",
+                "--m", "1,2,4,3", "--format", "json")
+        want = run(capsys, *argv)
+        monkeypatch.setattr(cli, "integrate_composite", reversed_twice)
+        assert run(capsys, *argv) == want
+
     @pytest.mark.parametrize("m", ["100000000", "65536,1"])
     def test_panel_total_above_the_cap_exits_1_at_once(self, capsys, monkeypatch, m):
         # 10^8 panels once built 10^8 exact nodes with no end in sight.

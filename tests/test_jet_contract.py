@@ -3,7 +3,8 @@
 ``tests/data/jet_contract.json`` holds, for every (expression, x0, m) case
 below, the jet coefficients as ``float.hex`` strings or the exception type
 and message.  Its first part was recorded before the constant folder became
-exact-only, and the ``SHAPES`` part before expressions were compiled once;
+exact-only, the ``SHAPES`` part before expressions were compiled once,
+and the ``DEGREE_RULES`` part before jet rules were priced by degree;
 regenerate it from a checkout with
 
     PYTHONPATH=src python tests/test_jet_contract.py > tests/data/jet_contract.json
@@ -63,9 +64,25 @@ SHAPES = (
 )
 SHAPE_POINTS = POINTS + (0.0,)
 
+#: Products priced by degree (constant times jet on either side, the banded
+#: product, integer powers), and a constant added to or subtracted from a
+#: jet, divided by a polynomial, or inside exp, sin, cos or log of one,
+#: where a signed zero decides the result and where an operand holds inf or
+#: nan, so that a rule that skips zero terms must fall back to the dense one.
+DEGREE_RULES = (
+    "-2*(x-x)", "(x-x)*-2", "-3*x", "x*-3",
+    "1+-x", "-1+-x", "-x+1", "-x+-1", "1-x", "-1-x", "x-(-1)", "-x-(-1)",
+    "(x+1)^3*(x-1)^2", "(1-x)^5", "(-x)^3", "-1/(1+x^2)", "(x-x)/(2+x)",
+    "exp(-x)*sin(-x)*cos(0*x)*log(1+x^2)",
+    "1e308*10*x", "x*(1e308*10)", "1e308*10+x", "x-1e308*10",
+    "(1e308*10-1e308*10)*x^2", "x^2*exp(1e308*10*x)", "(x*1e308*10)^2", "1/(1e308*10+x^2)",
+)
+DEGREE_POINTS = (0.0, -0.0, 0.7, 1e200)
+
 CASES = (
     [(t, x0, m) for t in EXPRESSIONS for x0 in POINTS for m in ORDERS]
     + [(t, x0, m) for t in SHAPES for x0 in SHAPE_POINTS for m in ORDERS]
+    + [(t, x0, m) for t in DEGREE_RULES for x0 in DEGREE_POINTS for m in ORDERS]
 )
 
 #: Before the exponent rules were unified, a variable exponent on a

@@ -192,3 +192,66 @@ class TestReferenceIntegrate:
     def test_non_finite_tolerances_are_rejected(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):
             OracleConfig(tol=tol)
+
+
+def loop_panel(f, lo, hi):
+    """The panel as a loop over the Kronrod nodes, sampling f one point at a
+    time: the reference for the samples' order and the sums' addition order."""
+    center, half, bad = 0.5 * (lo + hi), 0.5 * (hi - lo), 0
+
+    def sample(x):
+        nonlocal bad
+        v = float(f(x))
+        if not math.isfinite(v):
+            bad += 1
+            return 0.0
+        return v
+
+    fc = sample(center)
+    kron, kron_abs, gauss = oracle._WGK_CENTER * fc, oracle._WGK_CENTER * abs(fc), oracle._WG_CENTER * fc
+    for i, xi in enumerate(oracle._XGK):
+        dx = half * xi
+        left, right = sample(center - dx), sample(center + dx)
+        kron += oracle._WGK[i] * (left + right)
+        kron_abs += oracle._WGK[i] * (abs(left) + abs(right))
+        if i % 2 == 1:
+            gauss += oracle._WG[i // 2] * (left + right)
+    return half * kron, half * gauss, half * kron_abs, bad
+
+
+SAMPLE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]),
+)
+
+
+class TestPanelOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SAMPLE_VALUES, min_size=15, max_size=15),
+           st.floats(-10, 10), st.floats(1e-9, 10))
+    def test_panel_equals_the_loop_bit_for_bit(self, values, lo, width):
+        hi = lo + width
+
+        def recorder(points):
+            table = iter(values)
+
+            def f(x):
+                points.append(x)
+                return next(table)
+
+            return f
+
+        want_points, got_points, batches = [], [], []
+        want = loop_panel(recorder(want_points), lo, hi)
+        scalar = _panel(recorder(got_points), lo, hi)
+
+        class Batch:
+            def many(self, xs):
+                batches.append(list(xs))
+                return list(values)
+
+        batched = _panel(Batch(), lo, hi)
+        hexed = [v.hex() for v in want[:3]] + [want[3]]
+        assert [v.hex() for v in scalar[:3]] + [scalar[3]] == hexed
+        assert [v.hex() for v in batched[:3]] + [batched[3]] == hexed
+        assert got_points == want_points and batches == [want_points]

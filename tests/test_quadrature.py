@@ -157,6 +157,27 @@ class TestIntegrateComposite:
         integrate_composite(jet_provider(parse("exp(x)")), 3, Partition(nodes))
         assert len(widths) == rules
 
+    def test_uniform_step_gives_the_value_of_its_nodes(self, monkeypatch):
+        widths = []
+
+        def spy(n, a, b):
+            widths.append(b - a)
+            return compute_weights(n, a, b)
+
+        monkeypatch.setattr(quadrature, "compute_weights", spy)
+        jets = jet_provider(parse("exp(0.5*x)*cos(2*x)+sqrt(2+x)"))
+        uniform = Partition.uniform(Fraction(-3, 2), Fraction(math.pi), 24)
+        assert uniform.step == (Fraction(math.pi) + Fraction(3, 2)) / 24
+        assert uniform == Partition(uniform.nodes)
+        assert Partition(uniform.nodes).step is None
+        with pytest.raises(TypeError):
+            Partition(uniform.nodes, uniform.step / 2)
+        with pytest.raises(TypeError):
+            Partition(uniform.nodes, step=uniform.step / 2)
+        got = integrate_composite(jets, 4, uniform)
+        assert widths == [uniform.step]
+        assert got.hex() == integrate_composite(jets, 4, Partition(uniform.nodes)).hex()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_float_jets_match_the_omega_formula_bit_for_bit(self, n):
         jets = jet_provider(parse("exp(0.5*x)*cos(2*x)+sqrt(2+x)"))
