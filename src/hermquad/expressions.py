@@ -24,18 +24,27 @@ MAX_LITERAL_DIGITS is a ParseError; a folded constant wider than
 MAX_CONSTANT_BITS bits, and a literal or rational exponent beyond the
 double range, is an EvalDomainError when it is evaluated.
 
+Each operation has one order-0 rule, and it alone computes t_0 and checks
+the domain.  The jet rules call it on t_0 and run their recurrences above
+it; the batch form, each node's order-0 value at a list of points (one
+float for a node that does not depend on x), is made of these rules alone.
+So a jet and a batch fail at the same node with the same message.
+``evaluator`` evaluates through the batch form, one point or a whole list
+at once.  Integer powers run one binary exponentiation for both forms.
+
 Products are priced by degree.  The walk records each node's degree as a
 polynomial in x (a constant 0, x 1, sums the max, products the sum, an
 integer power the multiple, anything else dense) and picks each product's
 rule once: a scale for a constant times a jet, else a Cauchy product over
-the band of terms below both degrees, which integer powers use too.  Every
-result is bit for bit the dense product's: the terms left out are signed
-zeros, each sum starts as the dense sum does, and an operand holding inf
-or nan takes the dense product.  The other rules run over every term.
+the band of terms below both degrees, which integer powers use too; a
+dense product is the full band.  Every result is bit for bit the dense
+product's: the terms left out are signed zeros, each sum starts as the
+dense sum does, and an operand holding inf or nan takes the full band.
+The other rules run over every term.
 
-The same walk builds the batch form: each node's order-0 value at a list
-of points, one float for a node that does not depend on x.  ``evaluator``
-evaluates through it, one point or a whole list at once.
+Every sum of terms starts at 0.0 or at a jet entry and adds left to right
+in an explicit loop, not through sum(): from Python 3.12 sum() of floats
+is compensated, and results would then depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -348,160 +357,12 @@ def _constant(value: float, m: int) -> list:
     return out
 
 
-_MUL = operator.mul
-
-
-# The degree-priced product.  Every entry of a jet of degree d above t_d is
-# a signed zero while the jet is finite, so a product term with such a
-# factor is a signed zero too.  Leaving such terms out of a sum changes
-# nothing when the sum starts as the dense one does: from 0, which turns a
-# lone -0.0 into +0.0, after which a running sum is never -0.0.  Since
-# 0 * inf is nan, an operand with an inf or nan entry takes the dense sum.
-
-
-def _dense_mul(u, v):
-    """The Cauchy product, t_k = u_0 v_k + u_1 v_{k-1} + ... + u_k v_0 summed from 0."""
-    rv = v[::-1]
-    top = len(u) - 1
-    return [sum(map(_MUL, u[:k + 1], rv[top - k:])) for k in range(top + 1)]
-
-
-def _mul(u, v, du=None, dv=None):
-    """The Cauchy product of jets of degrees du and dv (None: dense): a scale
-    when one is a constant, else the band of terms below both degrees."""
-    top = len(u) - 1
-    if du is None or du > top:
-        du = top
-    if dv is None or dv > top:
-        dv = top
-    if du == top == dv or not math.isfinite(sum(u) + sum(v)):
-        return _dense_mul(u, v)
-    if du == 0:
-        c = u[0]
-        return [0.0 + c * t for t in v]
-    if dv == 0:
-        c = v[0]
-        return [0.0 + t * c for t in u]
-    rv = v[::-1]
-    out = []
-    last = min(top, du + dv)  # above it every band is empty
-    for k in range(last + 1):
-        lo = k - dv if k > dv else 0
-        hi = k if k < du else du
-        out.append(sum(map(_MUL, u[lo:hi + 1], rv[top - k + lo:top - k + hi + 1])))
-    out += [0.0] * (top - last)
-    return out
-
-
-def _div(u, v, node):
-    if v[0] == 0.0:
-        raise EvalDomainError("division by zero", node)
-    m = len(u)
-    out = [0.0] * m
-    out[0] = u[0] / v[0]
-    for k in range(1, m):
-        acc = u[k]
-        for j in range(k):
-            acc -= out[j] * v[k - j]
-        out[k] = acc / v[0]
-    return out
-
-
-def _exp(u, node):
-    m = len(u)
-    out = [0.0] * m
-    try:
-        out[0] = math.exp(u[0])
-    except OverflowError:
-        raise EvalDomainError("exp beyond the double range", node) from None
-    for k in range(1, m):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += j * u[j] * out[k - j]
-        out[k] = acc / k
-    return out
-
-
-def _log(u, node):
-    if u[0] <= 0.0:
-        raise EvalDomainError("log of a non-positive value", node)
-    m = len(u)
-    out = [0.0] * m
-    out[0] = math.log(u[0])
-    for k in range(1, m):
-        acc = 0.0
-        for j in range(1, k):
-            acc += j * out[j] * u[k - j]
-        out[k] = (u[k] - acc / k) / u[0]
-    return out
-
-
-def _sqrt(u, node):
-    if u[0] <= 0.0:
-        raise EvalDomainError("sqrt of a non-positive value", node)
-    m = len(u)
-    out = [0.0] * m
-    out[0] = math.sqrt(u[0])
-    for k in range(1, m):
-        acc = u[k]
-        for j in range(1, k):
-            acc -= out[j] * out[k - j]
-        out[k] = acc / (2.0 * out[0])
-    return out
-
-
-def _sin_cos(u, node):
-    if math.isinf(u[0]):  # a nan argument passes through, as in every other rule
-        raise EvalDomainError(f"{node.name} of an infinite value", node)
-    m = len(u)
-    s = [0.0] * m
-    c = [0.0] * m
-    s[0] = math.sin(u[0])
-    c[0] = math.cos(u[0])
-    for k in range(1, m):
-        sa = 0.0
-        ca = 0.0
-        for j in range(1, k + 1):
-            sa += j * u[j] * c[k - j]
-            ca += j * u[j] * s[k - j]
-        s[k] = sa / k
-        c[k] = -ca / k
-    return s, c
-
-
-#: Integer exponents beyond this are treated as evaluation errors rather
-#: than ground through binary exponentiation.
-_MAX_INT_EXPONENT = 1 << 20
-
-
-def _powi(u, exponent, node, du=None):
-    """u^exponent by binary exponentiation; du is u's degree (None: dense)."""
-    if abs(exponent) > _MAX_INT_EXPONENT:
-        raise EvalDomainError(f"integer exponent exceeds {_MAX_INT_EXPONENT} in magnitude", node)
-    one = _constant(1.0, len(u) - 1)
-    if exponent == 0:
-        return one
-    e = abs(exponent)
-    result, dr = one, 0
-    base, db = u, du
-    while e:
-        if e & 1:
-            result = _mul(result, base, dr, db)
-            dr = None if db is None else dr + db
-        e >>= 1
-        if e:
-            base = _mul(base, base, db, db)
-            db = None if db is None else 2 * db
-    if exponent < 0:
-        result = _div(one, result, node)
-    return result
-
-
-# -- batch form ---------------------------------------------------------
-# Each node's order-0 value over a list of points: a list, or one float for
-# a node that is the same at every point.  Each rule does at every point the
-# operations the jet rules do at order 0, so the values are bit for bit
-# theirs.  A rule raises when its check fails at any point.
+# -- order-0 rules ------------------------------------------------------
+# Each rule maps order-0 values to order-0 values: a list over the points of
+# a batch, or one float, for a node that is the same at every point and for
+# t_0 of a jet.  The batch form is made of these rules, and the jet rules
+# call them on t_0, so each domain check and its message live here only.
+# A rule raises when its check fails at any point.
 
 
 def _plus(u, v):
@@ -536,23 +397,34 @@ def _negated(u):
     return [-t for t in u] if type(u) is list else -u
 
 
-def _exp_many(u, node):
-    try:
-        return list(map(math.exp, u)) if type(u) is list else math.exp(u)
-    except OverflowError:
-        raise EvalDomainError("exp beyond the double range", node) from None
+def _scaled(s, u):
+    return [s * t for t in u] if type(u) is list else s * u
 
 
-def _log_many(u, node, message="log of a non-positive value"):
-    try:  # math.log rejects exactly the non-positive values
-        return list(map(math.log, u)) if type(u) is list else math.log(u)
-    except ValueError:
-        raise EvalDomainError(message, node) from None
+def _checked(fn, error, message):
+    """The order-0 rule of ``fn``: a domain error, its message formatted with
+    the node, wherever ``fn`` raises ``error``."""
+
+    def rule(u, node, message=message):
+        try:
+            return list(map(fn, u)) if type(u) is list else fn(u)
+        except error:
+            raise EvalDomainError(message.format(node=node), node) from None
+
+    return rule
 
 
-def _sqrt_many(u, node):
+# math.exp overflows exactly beyond the double range, math.log rejects
+# exactly the non-positive values, math.sin and math.cos the infinities.
+_exp0 = _checked(math.exp, OverflowError, "exp beyond the double range")
+_log0 = _checked(math.log, ValueError, "log of a non-positive value")
+_sin0 = _checked(math.sin, ValueError, "{node.name} of an infinite value")
+_cos0 = _checked(math.cos, ValueError, "{node.name} of an infinite value")
+
+
+def _sqrt0(u, node):
     message = "sqrt of a non-positive value"
-    if (0.0 in u) if type(u) is list else u == 0.0:  # the jet rule rejects zero too
+    if (0.0 in u) if type(u) is list else u == 0.0:  # the jet recurrence divides by sqrt(t_0)
         raise EvalDomainError(message, node)
     try:  # math.sqrt rejects exactly the negative values
         return list(map(math.sqrt, u)) if type(u) is list else math.sqrt(u)
@@ -560,40 +432,138 @@ def _sqrt_many(u, node):
         raise EvalDomainError(message, node) from None
 
 
-def _trig_many(fn):
-    def many(u, node):
-        try:  # math.sin and math.cos reject exactly the infinities
-            return list(map(fn, u)) if type(u) is list else fn(u)
-        except ValueError:
-            raise EvalDomainError(f"{node.name} of an infinite value", node) from None
+# -- jet rules ----------------------------------------------------------
+# Each rule takes t_0 from the order-0 rule and runs its recurrence above it.
+#
+# Products are priced by degree.  Every entry of a jet of degree d above t_d
+# is a signed zero while the jet is finite, so a product term with such a
+# factor is a signed zero too.  Leaving such terms out of a sum changes
+# nothing when the sum starts as the dense one does: from 0, which turns a
+# lone -0.0 into +0.0, after which a running sum is never -0.0.  Since
+# 0 * inf is nan, an operand with an inf or nan entry takes the full band.
 
-    return many
+
+def _band(u, v, du, dv):
+    """The Cauchy product over the terms below degrees du and dv:
+    t_k = u_lo v_(k-lo) + ... + u_hi v_(k-hi), zero above du + dv."""
+    top = len(u) - 1
+    out = [0.0] * (top + 1)
+    for k in range(min(top, du + dv) + 1):
+        acc = 0.0
+        for j in range(k - dv if k > dv else 0, (k if k < du else du) + 1):
+            acc += u[j] * v[k - j]
+        out[k] = acc
+    return out
 
 
-def _powi_many(u, exponent, node):
+def _mul(u, v, du=None, dv=None):
+    """The Cauchy product of jets of degrees du and dv (None: dense): a scale
+    when one is a constant, else the band of terms below both degrees."""
+    top = len(u) - 1
+    du = top if du is None or du > top else du
+    dv = top if dv is None or dv > top else dv
+    if du == top == dv or not math.isfinite(sum(u) + sum(v)):  # the sums only test finiteness
+        return _band(u, v, top, top)
+    if du == 0 or dv == 0:
+        return _times(u[0], v) if du == 0 else _times(u, v[0])
+    return _band(u, v, du, dv)
+
+
+def _div(u, v, node):
+    m = len(u)
+    out = [_over(u[0], v[0], node)] * m
+    for k in range(1, m):
+        acc = u[k]
+        for j in range(k):
+            acc -= out[j] * v[k - j]
+        out[k] = acc / v[0]
+    return out
+
+
+def _exp(u, node):
+    m = len(u)
+    out = [_exp0(u[0], node)] * m
+    for k in range(1, m):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += j * u[j] * out[k - j]
+        out[k] = acc / k
+    return out
+
+
+def _log(u, node, *message):
+    """``message``, if given, replaces the order-0 rule's."""
+    m = len(u)
+    out = [_log0(u[0], node, *message)] * m
+    for k in range(1, m):
+        acc = 0.0
+        for j in range(1, k):
+            acc += j * out[j] * u[k - j]
+        out[k] = (u[k] - acc / k) / u[0]
+    return out
+
+
+def _sqrt(u, node):
+    m = len(u)
+    out = [_sqrt0(u[0], node)] * m
+    for k in range(1, m):
+        acc = u[k]
+        for j in range(1, k):
+            acc -= out[j] * out[k - j]
+        out[k] = acc / (2.0 * out[0])
+    return out
+
+
+def _sin_cos(u, node):
+    m = len(u)
+    s = [_sin0(u[0], node)] * m
+    c = [_cos0(u[0], node)] * m
+    for k in range(1, m):
+        sa = 0.0
+        ca = 0.0
+        for j in range(1, k + 1):
+            sa += j * u[j] * c[k - j]
+            ca += j * u[j] * s[k - j]
+        s[k] = sa / k
+        c[k] = -ca / k
+    return s, c
+
+
+#: Integer exponents beyond this are treated as evaluation errors rather
+#: than ground through binary exponentiation.
+_MAX_INT_EXPONENT = 1 << 20
+
+
+def _powi(u, exponent, node, mul, one, over, du=None):
+    """u^exponent by binary exponentiation, by the product mul(u, v, du, dv)
+    of operands of degrees du and dv (None: dense), the unit ``one`` and the
+    division over(u, v, node): jet rules or order-0 rules alike."""
     if abs(exponent) > _MAX_INT_EXPONENT:
         raise EvalDomainError(f"integer exponent exceeds {_MAX_INT_EXPONENT} in magnitude", node)
     if exponent == 0:
-        return 1.0
+        return one
     e = abs(exponent)
-    result, base = 1.0, u
+    result, dr = one, 0
+    base, db = u, du
     while e:
         if e & 1:
-            result = _times(result, base)
+            result = mul(result, base, dr, db)
+            dr = None if db is None else dr + db
         e >>= 1
         if e:
-            base = _times(base, base)
-    return _over(1.0, result, node) if exponent < 0 else result
+            base = mul(base, base, db, db)
+            db = None if db is None else 2 * db
+    return over(one, result, node) if exponent < 0 else result
 
 
 #: Function name -> (jet rule (u, node), batch rule (u, node)); the parser
 #: accepts exactly these names.
 _CALLS = {
-    "sin": (lambda u, node: _sin_cos(u, node)[0], _trig_many(math.sin)),
-    "cos": (lambda u, node: _sin_cos(u, node)[1], _trig_many(math.cos)),
-    "exp": (_exp, _exp_many),
-    "log": (_log, _log_many),
-    "sqrt": (_sqrt, _sqrt_many),
+    "sin": (lambda u, node: _sin_cos(u, node)[0], _sin0),
+    "cos": (lambda u, node: _sin_cos(u, node)[1], _cos0),
+    "exp": (_exp, _exp0),
+    "log": (_log, _log0),
+    "sqrt": (_sqrt, _sqrt0),
 }
 FUNCTIONS = tuple(_CALLS)
 
@@ -646,33 +616,18 @@ def _arith(op, left: Compiled, right: Compiled, node) -> Compiled:
     """The rules of left op right for + - * /; the exact value is left to the caller."""
     ljet, lmany, _, dl = left
     rjet, rmany, _, dr = right
-    dense = dl is None or dr is None
-    if op in "+-":
-        pointwise = _plus if op == "+" else _minus
-        degree = None if dense else max(dl, dr)
-
-        def rule(u, v, node):
-            return pointwise(u, v)
-
-        def many(xs):
-            return pointwise(lmany(xs), rmany(xs))
-    elif op == "*":
-        if dl is None and dr is None:
-            def rule(u, v, node):
-                return _dense_mul(u, v)
-        else:
-            def rule(u, v, node):
-                return _mul(u, v, dl, dr)
-        degree = None if dense else dl + dr
-
-        def many(xs):
-            return _times(lmany(xs), rmany(xs))
+    if op == "/":
+        return Compiled(lambda x0, m: _div(ljet(x0, m), rjet(x0, m), node),
+                        lambda xs: _over(lmany(xs), rmany(xs), node), None, None)
+    known = dl is not None and dr is not None
+    if op == "*":
+        jet, many = (lambda u, v: _mul(u, v, dl, dr)), _times
+        degree = dl + dr if known else None
     else:
-        rule, degree = _div, None
-
-        def many(xs):
-            return _over(lmany(xs), rmany(xs), node)
-    return Compiled(lambda x0, m: rule(ljet(x0, m), rjet(x0, m), node), many, None, degree)
+        jet = many = _plus if op == "+" else _minus
+        degree = max(dl, dr) if known else None
+    return Compiled(lambda x0, m: jet(ljet(x0, m), rjet(x0, m)),
+                    lambda xs: many(lmany(xs), rmany(xs)), None, degree)
 
 
 def _power(base: Compiled, exponent: Compiled, node) -> Compiled:
@@ -682,26 +637,21 @@ def _power(base: Compiled, exponent: Compiled, node) -> Compiled:
     if value is not None and value.denominator == 1:
         e = value.numerator
         degree = 0 if e == 0 or db == 0 else (None if db is None or e < 0 else db * e)
-        return Compiled(lambda x0, m: _powi(bjet(x0, m), e, node, db),
-                        lambda xs: _powi_many(bmany(xs), e, node), None, degree)
+        return Compiled(lambda x0, m: _powi(bjet(x0, m), e, node, _mul, _constant(1.0, m), _div, db),
+                        lambda xs: _powi(bmany(xs), e, node, lambda u, v, du, dv: _times(u, v),
+                                         1.0, _over),
+                        None, degree)
     scale = None if value is None else _double(value, node.right)
 
-    def jet(x0, m):
-        b, e = bjet(x0, m), (ejet(x0, m) if value is None else None)
-        if b[0] <= 0.0:
-            raise EvalDomainError("non-integer power of a non-positive base", node)
-        log_b = _log(b, node)  # a rational exponent scales it in O(m)
-        return _exp(_mul(e, log_b, de) if value is None else [scale() * t for t in log_b], node)
+    def rule(b, e, log, exp, mul):  # e is None for a rational exponent, which scales log(b)
+        log_b = log(b, node, "non-integer power of a non-positive base")
+        return exp(_scaled(scale(), log_b) if e is None else mul(e, log_b), node)
 
-    def many(xs):
-        b, e = bmany(xs), (emany(xs) if value is None else None)
-        log_b = _log_many(b, node, "non-integer power of a non-positive base")
-        if value is None:
-            return _exp_many(_times(e, log_b), node)
-        s = scale()
-        return _exp_many([s * t for t in log_b] if type(log_b) is list else s * log_b, node)
-
-    return Compiled(jet, many, None, None)
+    return Compiled(
+        lambda x0, m: rule(bjet(x0, m), None if value is not None else ejet(x0, m),
+                           _log, _exp, lambda e, log_b: _mul(e, log_b, de)),
+        lambda xs: rule(bmany(xs), None if value is not None else emany(xs), _log0, _exp0, _times),
+        None, None)
 
 
 def _compile(node: Expr) -> Compiled:
@@ -720,7 +670,7 @@ def _compile(node: Expr) -> Compiled:
                             None, 1)
         case Neg(arg):
             jet, many, exact, degree = _compile(arg)
-            return Compiled(lambda x0, m: [-t for t in jet(x0, m)],
+            return Compiled(lambda x0, m: _negated(jet(x0, m)),
                             lambda xs: _negated(many(xs)),
                             None if exact is None else -exact, degree)
         case Call(name, arg):
@@ -734,18 +684,16 @@ def _compile(node: Expr) -> Compiled:
             exact = _fold(op, left.exact, right.exact)
             if exact is not _TOO_WIDE:
                 return compiled._replace(exact=exact)
-            jet, many = compiled.jet, compiled.many
             message = f"exact constant wider than {MAX_CONSTANT_BITS} bits"
 
-            def too_wide(x0, m):  # the node's own errors, such as a huge exponent, come first
-                jet(x0, m)
-                raise EvalDomainError(message, node)
+            def too_wide(rule):  # the node's own errors, such as a huge exponent, come first
+                def run(*args):
+                    rule(*args)
+                    raise EvalDomainError(message, node)
 
-            def too_wide_many(xs):
-                many(xs)
-                raise EvalDomainError(message, node)
+                return run
 
-            return compiled._replace(jet=too_wide, many=too_wide_many)
+            return compiled._replace(jet=too_wide(compiled.jet), many=too_wide(compiled.many))
 
 
 def jet_eval(expr: Expr, x0, m: int) -> TaylorJet:
@@ -770,17 +718,19 @@ def evaluator(expr: Expr):
     """Plain float evaluation, x -> f(x).
 
     Its attribute ``many`` maps a list of floats to their values in one
-    pass of the batch form.  If that raises, the points are evaluated one
-    at a time, so the error is the one the first failing point raises.
+    pass of the batch form.  If that raises, the batch form runs again one
+    point at a time, so the error is the one the first failing point raises.
     """
 
-    def many(xs):
-        compiled = expr.compiled
-        try:
-            values = compiled.many(xs)
-        except EvalDomainError:
-            return [compiled.jet(x, 0)[0] for x in xs]
+    def batch(xs):
+        values = expr.compiled.many(xs)
         return values if type(values) is list else [values] * len(xs)
+
+    def many(xs):
+        try:
+            return batch(xs)
+        except EvalDomainError:  # the first point that fails raises its own error
+            return [batch([x])[0] for x in xs]
 
     def value(x):
         return many([float(x)])[0]

@@ -213,7 +213,10 @@ def _spread_half(samples) -> float:
 
 def _trapezoid(samples, a: float, b: float) -> float:
     h = (b - a) / (len(samples) - 1)
-    return h * (0.5 * samples[0] + sum(samples[1:-1]) + 0.5 * samples[-1])
+    inner = 0.0
+    for s in samples[1:-1]:  # left to right: sum() of floats is compensated from Python 3.12
+        inner += s
+    return h * (0.5 * samples[0] + inner + 0.5 * samples[-1])
 
 
 def _l2_deviation(samples, a: float, b: float) -> float:

@@ -69,6 +69,8 @@ SHAPE_POINTS = POINTS + (0.0,)
 #: jet, divided by a polynomial, or inside exp, sin, cos or log of one,
 #: where a signed zero decides the result and where an operand holds inf or
 #: nan, so that a rule that skips zero terms must fall back to the dense one.
+#: The last product's t_2 at 0 is 1e16 + 1 - 1e16: 0.0 summed left to right,
+#: 1.0 if compensated, as sum() of floats is from Python 3.12.
 DEGREE_RULES = (
     "-2*(x-x)", "(x-x)*-2", "-3*x", "x*-3",
     "1+-x", "-1+-x", "-x+1", "-x+-1", "1-x", "-1-x", "x-(-1)", "-x-(-1)",
@@ -76,6 +78,7 @@ DEGREE_RULES = (
     "exp(-x)*sin(-x)*cos(0*x)*log(1+x^2)",
     "1e308*10*x", "x*(1e308*10)", "1e308*10+x", "x-1e308*10",
     "(1e308*10-1e308*10)*x^2", "x^2*exp(1e308*10*x)", "(x*1e308*10)^2", "1/(1e308*10+x^2)",
+    "(1e16 + x - 1e16*x^2) * (1 + x + x^2)",
 )
 DEGREE_POINTS = (0.0, -0.0, 0.7, 1e200)
 

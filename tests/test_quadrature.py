@@ -318,6 +318,13 @@ class TestBounds:
         samples = [0.0, 1.0, 0.0]
         assert bound_l2(samples, ks) == pytest.approx(5e34 * 1e175 / math.sqrt(720), rel=1e-14)
 
+    def test_l2_bound_sums_its_samples_left_to_right(self):
+        # The trapezoid sum of the samples is 1e16 + 1 - 1e16: 0 when added
+        # left to right, 1 when compensated.  Recorded on Python 3.11, whose
+        # sum() of floats adds left to right.
+        ks = kernel_set(2, 0, 1)
+        assert bound_l2([0.0, 1e16, 1.0, -1e16, 3e8], ks).hex() == "0x1.df58861a42c9ep+47"
+
     def test_kernel_factor_n2(self):
         # With ||Phi||_2 = 1 the L2 bound reduces to 1/sqrt(720).
         ks = kernel_set(2, 0, 1)
