@@ -234,27 +234,18 @@ def _cmd_composite(args) -> int:
     counts = _parse_panel_counts(args.m)
     reference = _converged_reference(expr, a, b, cfg)
     # Rows share nodes (m and 2m panels share m + 1), so each node's jet is
-    # built once, keyed by its index on the grid of lcm(counts) panels.
-    finest = math.lcm(*counts)
-    node_jets = {}
+    # built once.  A jet reads its node only as a double, so that is the key.
     provider = jet_provider(expr)
+    node_jets = {}
 
-    def row_value(m):
-        partition = Partition.uniform(a, b, m)
-        # Each of the row's node objects maps to its grid index.
-        index = {id(x): i for i, x in zip(range(0, finest + 1, finest // m), partition.nodes)}
+    def jets(x, order):
+        jet = node_jets.get(key := float(x))
+        if jet is None:
+            jet = node_jets[key] = provider(x, order)
+        return jet
 
-        def jets(x, order):
-            i = index[id(x)]
-            jet = node_jets.get(i)
-            if jet is None:
-                jet = node_jets[i] = provider(x, order)
-            return jet
-
-        return float(integrate_composite(jets, args.n, partition))
-
-    values = [row_value(m) for m in counts]
-    orders = observed_orders([abs(value - reference.value) for value in values])
+    values = [float(integrate_composite(jets, args.n, Partition.uniform(a, b, m))) for m in counts]
+    orders = observed_orders([abs(value - reference.value) for value in values], counts)
     reports = [
         ErrorReport(
             quadrature_value=value,

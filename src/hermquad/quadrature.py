@@ -18,7 +18,7 @@ sampling, so the bounds are estimates rather than rigorous enclosures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, NamedTuple
 
@@ -46,33 +46,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Strictly increasing nodes x_0 < ... < x_m covering [x_0, x_m].
+    """Nodes x_0 < ... < x_m covering [x_0, x_m]; a partition is its nodes.
 
-    ``step`` is the common panel width of a partition made by ``uniform``
-    (exact), else None; it is not a constructor argument."""
+    A node may be anything ``rational`` reads (int, Fraction, finite float or
+    a decimal or "p/q" string), and the order is checked on those exact values.
+    """
 
     nodes: tuple
-    step: Fraction | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if len(self.nodes) < 2:
             raise ValueError("a partition needs at least two nodes")
-        for left, right in zip(self.nodes, self.nodes[1:]):
+        values = [rational(x) for x in self.nodes]
+        for left, right in zip(values, values[1:]):
             if not left < right:
                 raise ValueError("partition nodes must be strictly increasing")
 
     @classmethod
     def uniform(cls, a, b, m: int) -> "Partition":
-        """m equal subintervals with exact rational nodes."""
+        """m equal subintervals with exact rational nodes a + k*(b-a)/m.
+
+        With a = p/q and b = r/s, node k is (p*s*m + k*(r*q - p*s)) / (q*s*m):
+        one integer grid, one ``Fraction(int, int)`` per node, and node m is b.
+        """
         if m < 1:
             raise ValueError("subinterval count must be >= 1")
-        a = rational(a)
-        b = rational(b)
-        step = (b - a) / m
-        partition = cls(tuple(a + k * step for k in range(m)) + (b,))
-        object.__setattr__(partition, "step", step)
-        return partition
+        p, q = rational(a).as_integer_ratio()
+        r, s = rational(b).as_integer_ratio()
+        start, span, den = p * s * m, r * q - p * s, q * s * m
+        return cls(tuple(Fraction(start + k * span, den) for k in range(m + 1)))
 
 
 @dataclass(frozen=True)
@@ -157,24 +160,21 @@ def integrate_composite(jets, n: int, partition: Partition):
         sum_j w_a[j] * (f^(j)(x_i) + (-1)^j f^(j)(x_{i+1})).
 
     ``jets`` is called once per node, in node order, and adjacent panels
-    share the jet at their common node.  Nodes are read as exact
-    rationals; a uniform partition's width is its ``step``, formed once.
-    Consecutive panels of equal width share one rule.  When every jet entry
-    is a float, each rule's weights are rounded to doubles once, which is
-    what ``Fraction * float`` would do on every panel; other jets keep the
-    exact weights.
+    share the jet at their common node.  Each width is the difference of
+    its two nodes read as exact rationals, so the value depends on the
+    nodes alone.  Consecutive panels of equal width share one rule.  When
+    every jet entry is a float, each rule's weights are rounded to doubles
+    once, which is what ``Fraction * float`` would do on every panel; other
+    jets keep the exact weights.
     """
     nodes = partition.nodes
     node_jets = [jets(x, n - 1) for x in nodes]
     floats = all(isinstance(v, float) for jet in node_jets for v in jet[:n])
-    if partition.step is None:
-        widths = [rational(x1) - rational(x0) for x0, x1 in zip(nodes, nodes[1:])]
-    else:
-        widths = [partition.step] * (len(nodes) - 1)
+    widths = [rational(x1) - rational(x0) for x0, x1 in zip(nodes, nodes[1:])]
     width = None
     total = 0
     for h, left, right in zip(widths, node_jets, node_jets[1:]):
-        if h is not width and h != width:
+        if h != width:
             width = h
             rule = compute_weights(n, 0, h)
             weights = tuple(map(float, rule.w_a)) if floats else rule.w_a
@@ -314,12 +314,17 @@ def refined_bounds(f_deriv, kernel: KernelSet, count: int = 257, k: int = 0):
     return fine_pair.uniform, fine_pair.l2, stable
 
 
-def observed_orders(errors) -> list:
-    """log2 ratios of consecutive errors when the grid is halved; None where undefined."""
+def observed_orders(errors, counts) -> list:
+    """Observed convergence orders of a table of errors for panel counts ``counts``.
+
+    Between consecutive rows, log2(e_prev / e) / log2(m / m_prev): the p in
+    e ~ C m^-p.  When m doubles the divisor is exactly 1.  None in the first
+    row, and where either error is 0 or the two counts are equal.
+    """
     orders = [None]
-    for previous, current in zip(errors, errors[1:]):
-        if previous > 0 and current > 0:
-            orders.append(math.log2(previous / current))
+    for e0, e1, m0, m1 in zip(errors, errors[1:], counts, counts[1:]):
+        if e0 > 0 and e1 > 0 and m0 != m1:
+            orders.append(math.log2(e0 / e1) / math.log2(m1 / m0))
         else:
             orders.append(None)
     return orders

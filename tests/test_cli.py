@@ -164,6 +164,44 @@ class TestCompositeCommand:
         assert run(capsys, *argv) == want
         assert len(nodes) == len(set(nodes)) == 7
 
+    def test_nodes_that_round_to_one_double_share_one_jet(self, capsys, monkeypatch):
+        # The 1 + 2 + 4 panels have 5 distinct rational nodes but 2 distinct doubles,
+        # 1 and 1 + 2^-52; the table is the one the per-node memo printed.
+        provider = cli.jet_provider
+        nodes = []
+
+        def counting_provider(expr):
+            jets = provider(expr)
+
+            def counted(x, m):
+                nodes.append(x)
+                return jets(x, m)
+
+            return counted
+
+        monkeypatch.setattr(cli, "jet_provider", counting_provider)
+        code, out, err = run(capsys, "composite", "--n", "2", "--a", "1", "--b", "1.0000000000000002",
+                             "--fn", "exp(x)", "--m", "1,2,4", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == (
+            "n,m,h,quadrature,reference,error,observed_order,bound_uniform,bound_l2\n"
+            "2,1,2e-16,5.436563656918091e-16,6.035798146750804e-16,-5.992344898327126e-17,,,\n"
+            "2,2,1e-16,5.43656365691809e-16,6.035798146750804e-16,-5.992344898327136e-17,"
+            "-2.40256987786119e-15,,\n"
+            "2,4,5e-17,5.43656365691809e-16,6.035798146750804e-16,-5.992344898327136e-17,0.0,,\n"
+        )
+        assert [float(x) for x in nodes] == [1.0, 1.0 + 2.0 ** -52]
+
+    def test_orders_of_counts_that_do_not_double(self, capsys):
+        # Each order compares a row with the one before it, whatever their ratio.
+        code, out, _ = run(capsys, "composite", "--n", "2", "--a", "0", "--b", "1",
+                           "--fn", "exp(x)", "--m", "1,2,4,3,6,5,10", "--format", "json")
+        assert code == 0
+        orders = [row["observed_order"] for row in json.loads(out)["rows"]]
+        assert orders[0] is None
+        assert all(3.9 <= order <= 4.1 for order in orders[1:])
+        assert [round(orders[3], 3), round(orders[5], 3)] == [3.996, 3.998]
+
     def test_node_jets_follow_their_node_whatever_the_call_order(self, capsys, monkeypatch):
         # The memo key comes from the node asked for, not from how many were asked before.
         composite = cli.integrate_composite

@@ -44,6 +44,8 @@ def test_every_exported_name_resolves(module):
     (OracleConfig(), "max_depth"),
     (Check, "detail"),
     (importlib.import_module("hermquad.kernel"), "isolate_roots"),
+    (Partition, "step"),
+    (Partition.uniform(0, 1, 2), "step"),
 ])
 def test_removed_names_are_absent(owner, name):
     assert not hasattr(owner, name)

@@ -67,11 +67,28 @@ class TestPartition:
             Partition((0, 0))
         with pytest.raises(ValueError):
             Partition((0, 2, 1))
+        # Order is checked on the exact values, not on the objects: as strings
+        # "1/3" > "1/2" and "10" < "9".
+        assert Partition(("0", "1/3", "1/2")).nodes == ("0", "1/3", "1/2")
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Partition(("0", "10", "9"))
+        for a, b in [(1, 1), (2, 1), ("1/3", "0.333")]:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Partition.uniform(a, b, 4)
 
     def test_uniform_is_exact(self):
         part = Partition.uniform(0, 1, 3)
         assert part.nodes == (0, Fraction(1, 3), Fraction(2, 3), 1)
         assert len(part.nodes) - 1 == 3
+        intervals = [(Fraction(-3, 2), Fraction(math.pi)), ("-0.3141", Fraction(math.pi)),
+                     (Fraction(math.pi), "7.25")]
+        for a, b in intervals:
+            a, b = Fraction(a), Fraction(b)
+            for m in (1, 3, 64, 1024):
+                nodes = Partition.uniform(a, b, m).nodes
+                assert nodes == tuple(a + k * (b - a) / m for k in range(m + 1))
+                assert all(type(x) is Fraction for x in nodes)
+                assert nodes[-1] == b
 
 
 class TestIntegrateSingle:
@@ -120,7 +137,7 @@ class TestIntegrateComposite:
                 abs(float(integrate_composite(jets, n, Partition.uniform(0, 1, m))) - (math.e - 1))
                 for m in (2, 4, 8, 16, 32)
             ]
-            order = observed_orders(errors)[-1]
+            order = observed_orders(errors, (2, 4, 8, 16, 32))[-1]
             assert order == pytest.approx(2 * n, abs=0.15)
 
     #: Panel widths 2/3, 5/6, 7/10 and 4/5.
@@ -166,16 +183,15 @@ class TestIntegrateComposite:
 
         monkeypatch.setattr(quadrature, "compute_weights", spy)
         jets = jet_provider(parse("exp(0.5*x)*cos(2*x)+sqrt(2+x)"))
+        step = (Fraction(math.pi) + Fraction(3, 2)) / 24
         uniform = Partition.uniform(Fraction(-3, 2), Fraction(math.pi), 24)
-        assert uniform.step == (Fraction(math.pi) + Fraction(3, 2)) / 24
         assert uniform == Partition(uniform.nodes)
-        assert Partition(uniform.nodes).step is None
         with pytest.raises(TypeError):
-            Partition(uniform.nodes, uniform.step / 2)
+            Partition(uniform.nodes, step / 2)
         with pytest.raises(TypeError):
-            Partition(uniform.nodes, step=uniform.step / 2)
+            Partition(uniform.nodes, step=step / 2)
         got = integrate_composite(jets, 4, uniform)
-        assert widths == [uniform.step]
+        assert widths == [step]
         assert got.hex() == integrate_composite(jets, 4, Partition(uniform.nodes)).hex()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -245,6 +261,17 @@ class TestErrorExact:
         assert ref.converged
         exact = error_exact(derivative_function(expr, n), kernel_set(n, 0, 1))
         assert ref.value - quad == pytest.approx(exact, abs=1e-9)
+
+    def test_claim_ii_at_k0_for_an_integrand_that_is_only_c2(self):
+        # f = |x - c|^3 has f''' = 6 sign(x - c), so the classical formula through
+        # f^(6) does not apply; the k = 0 representation needs only f'''.
+        expr = parse("sqrt((x-0.31415)^2)^3")
+        exact = error_exact(derivative_function(expr, 3), kernel_set(3, 0, 1), k=0)
+        assert exact == pytest.approx(1.66548011017475e-3, abs=5e-18)
+        ref = reference_integrate(evaluator(expr), 0.0, 1.0)
+        assert ref.converged
+        quad = float(integrate_single(jet_provider(expr), 3, 0, 1))
+        assert abs(ref.value - quad - exact) <= ref.err_estimate
 
 
 class TestMildRegularity:
@@ -506,10 +533,25 @@ class TestErrorReport:
 
 class TestObservedOrders:
     def test_ratios(self):
-        orders = observed_orders([1.0, 0.25, 0.0625])
+        orders = observed_orders([1.0, 0.25, 0.0625], [1, 2, 4])
         assert orders[0] is None
         assert orders[1] == pytest.approx(2.0)
         assert orders[2] == pytest.approx(2.0)
 
     def test_zero_errors_give_none(self):
-        assert observed_orders([1.0, 0.0])[1] is None
+        assert observed_orders([1.0, 0.0], [1, 2])[1] is None
+
+    def test_counts_that_do_not_double(self):
+        # e = m^-4 exactly, visited out of order: every order is 4.
+        counts = [1, 2, 4, 3, 6, 5, 10]
+        orders = observed_orders([m ** -4 for m in counts], counts)
+        assert orders[0] is None
+        assert orders[1:] == pytest.approx([4.0] * 6, abs=1e-12)
+
+    def test_doubling_divides_by_exactly_one(self):
+        errors = [0.3, 0.021, 0.0013]
+        orders = observed_orders(errors, [5, 10, 20])
+        assert orders[1:] == [math.log2(0.3 / 0.021), math.log2(0.021 / 0.0013)]
+
+    def test_equal_counts_give_none(self):
+        assert observed_orders([1.0, 0.5, 0.25], [4, 4, 8]) == [None, None, 1.0]
