@@ -199,7 +199,6 @@ def _cmd_single(args) -> int:
     report = ErrorReport(
         quadrature_value=value,
         reference_value=reference.value,
-        actual_error=value - reference.value,
         n=n,
         h=float(b - a),
         fn=args.fn,
@@ -250,7 +249,6 @@ def _cmd_composite(args) -> int:
         ErrorReport(
             quadrature_value=value,
             reference_value=reference.value,
-            actual_error=value - reference.value,
             n=args.n,
             m=m,
             h=float(b - a) / m,

@@ -75,18 +75,16 @@ class KernelParams:
         deltas[l] = sum_{i=ceil((n+l)/2)}^{n-1}
                     C(n,i) (2i)! / (2i-n-l)! (-r^2)^(n-i) (-m)^(2i-n-l) / (2n)!,
 
-    so deltas[n-2] = -(b-a)^2 / (8(2n-1)) for n >= 2.
+    so deltas[n-2] = -(b-a)^2 / (8(2n-1)) for n >= 2.  The order is
+    n = len(deltas) + 1.
     """
 
-    n: int
     c: Fraction
     deltas: tuple
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("kernel order must be >= 1")
-        if len(self.deltas) != self.n - 1:
-            raise ValueError("expected n-1 delta parameters")
+    @property
+    def n(self) -> int:
+        return len(self.deltas) + 1
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ class KernelSet:
         c = -(self.a + self.b) / 2
         rest = (self.kernel - (X + c) ** n / math.factorial(n)).coeffs
         rest += (Fraction(0),) * (n - 1 - len(rest))
-        return KernelParams(n, c, tuple(math.factorial(i) * d for i, d in enumerate(rest)))
+        return KernelParams(c, tuple(math.factorial(i) * d for i, d in enumerate(rest)))
 
     @property
     def kernel(self) -> Polynomial:
@@ -195,7 +193,7 @@ def solve_params(n: int, a, b) -> KernelParams:
             - ac ** (j + 1) / math.factorial(j + 1)
             - tail
         )
-    return KernelParams(n=n, c=c, deltas=tuple(deltas))
+    return KernelParams(c, tuple(deltas))
 
 
 def kernel_from_params(params: KernelParams) -> Polynomial:

@@ -46,20 +46,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Nodes x_0 < ... < x_m covering [x_0, x_m]; a partition is its nodes.
+    """Nodes x_0 < ... < x_m covering [x_0, x_m]; a partition is its exact nodes.
 
-    A node may be anything ``rational`` reads (int, Fraction, finite float or
-    a decimal or "p/q" string), and the order is checked on those exact values.
+    A node may be given as anything ``rational`` reads (int, Fraction, finite
+    float or a decimal or "p/q" string); ``nodes`` holds the exact
+    ``Fraction`` values, so two partitions are equal when their nodes are.
     """
 
     nodes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if len(self.nodes) < 2:
+        nodes = tuple(self.nodes)
+        if len(nodes) < 2:
             raise ValueError("a partition needs at least two nodes")
-        values = [rational(x) for x in self.nodes]
-        for left, right in zip(values, values[1:]):
+        object.__setattr__(self, "nodes", tuple(map(rational, nodes)))
+        for left, right in zip(self.nodes, self.nodes[1:]):
             if not left < right:
                 raise ValueError("partition nodes must be strictly increasing")
 
@@ -82,9 +83,10 @@ class Partition:
 class ErrorReport:
     """Quadrature outcome with optional reference, error, and bound estimates.
 
-    ``actual_error`` is quadrature_value - reference_value.  Bounds are
-    sampling-based estimates; ``derivative_order_used`` records which
-    derivative f^(n+k) fed them (0: no bounds requested).  At order 2n,
+    ``actual_error`` is derived, not stored: quadrature_value -
+    reference_value, or None without a reference.  Bounds are sampling-based
+    estimates; ``derivative_order_used`` records which derivative f^(n+k)
+    fed them (0: no bounds requested).  At order 2n,
     ``error_via_derivative`` holds the exact error through that derivative
     in place of bounds.  ``to_json_dict`` and ``csv_cells`` serialize the
     record (docs/json-schemas.md).
@@ -106,7 +108,6 @@ class ErrorReport:
 
     quadrature_value: float
     reference_value: float | None = None
-    actual_error: float | None = None
     bound_uniform: float | None = None
     bound_l2: float | None = None
     bound_kind: str = "midrange"
@@ -119,6 +120,12 @@ class ErrorReport:
     reference_err_estimate: float | None = None
     bound_stable: bool | None = None
     error_via_derivative: float | None = None
+
+    @property
+    def actual_error(self) -> float | None:
+        if self.reference_value is None:
+            return None
+        return self.quadrature_value - self.reference_value
 
     def csv_cells(self) -> list:
         """The ``CSV_COLUMNS`` values, empty where a value does not apply."""
@@ -159,18 +166,18 @@ def integrate_composite(jets, n: int, partition: Partition):
 
         sum_j w_a[j] * (f^(j)(x_i) + (-1)^j f^(j)(x_{i+1})).
 
-    ``jets`` is called once per node, in node order, and adjacent panels
-    share the jet at their common node.  Each width is the difference of
-    its two nodes read as exact rationals, so the value depends on the
-    nodes alone.  Consecutive panels of equal width share one rule.  When
-    every jet entry is a float, each rule's weights are rounded to doubles
-    once, which is what ``Fraction * float`` would do on every panel; other
-    jets keep the exact weights.
+    ``jets`` is called once per node, in node order, with the node's exact
+    ``Fraction``, and adjacent panels share the jet at their common node.
+    Each width is the exact difference of its two nodes, so the value
+    depends on the nodes alone.  Consecutive panels of equal width share
+    one rule.  When every jet entry is a float, each rule's weights are
+    rounded to doubles once, which is what ``Fraction * float`` would do on
+    every panel; other jets keep the exact weights.
     """
     nodes = partition.nodes
     node_jets = [jets(x, n - 1) for x in nodes]
     floats = all(isinstance(v, float) for jet in node_jets for v in jet[:n])
-    widths = [rational(x1) - rational(x0) for x0, x1 in zip(nodes, nodes[1:])]
+    widths = [x1 - x0 for x0, x1 in zip(nodes, nodes[1:])]
     width = None
     total = 0
     for h, left, right in zip(widths, node_jets, node_jets[1:]):

@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exactmath import format_rational, parse_rational, rational_interval
+from .exactmath import format_rational, rational_interval
 
 __all__ = [
     "HermiteRule",
@@ -43,30 +44,32 @@ def _check_order(n) -> None:
 
 @dataclass(frozen=True)
 class HermiteRule:
-    """An order-n rule on [a, b]: weights for derivatives 0..n-1 at each endpoint.
+    """An order-n rule on [a, b], held as its weights at a.
 
-    Immutable; weights are exact rationals satisfying w_b[j] = (-1)^j w_a[j]
-    and w_a[0] + w_b[0] = b - a.
+    Immutable.  The weights are exact rationals; n = len(w_a), and the
+    weights at b follow from w_b[j] = (-1)^j w_a[j], so w_a[0] + w_b[0] =
+    2 w_a[0] must equal b - a.
     """
 
-    n: int
     a: Fraction
     b: Fraction
     w_a: tuple
-    w_b: tuple
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.w_a:
             raise ValueError("rule order must be >= 1")
         if self.a >= self.b:
             raise ValueError("rule interval must satisfy a < b")
-        if len(self.w_a) != self.n or len(self.w_b) != self.n:
-            raise ValueError("weight vectors must have length n")
-        for j in range(self.n):
-            if self.w_b[j] != (-1) ** j * self.w_a[j]:
-                raise ValueError("endpoint weights must satisfy w_b[j] = (-1)^j w_a[j]")
-        if self.w_a[0] + self.w_b[0] != self.b - self.a:
+        if 2 * self.w_a[0] != self.b - self.a:
             raise ValueError("zeroth weights must sum to the interval length")
+
+    @property
+    def n(self) -> int:
+        return len(self.w_a)
+
+    @cached_property
+    def w_b(self) -> tuple:
+        return tuple((-1) ** j * w for j, w in enumerate(self.w_a))
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,16 +79,6 @@ class HermiteRule:
             "w_a": [format_rational(w) for w in self.w_a],
             "w_b": [format_rational(w) for w in self.w_b],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "HermiteRule":
-        return cls(
-            n=int(doc["n"]),
-            a=parse_rational(doc["a"]),
-            b=parse_rational(doc["b"]),
-            w_a=tuple(parse_rational(w) for w in doc["w_a"]),
-            w_b=tuple(parse_rational(w) for w in doc["w_b"]),
-        )
 
 
 def omega_coeffs(n: int) -> tuple:
@@ -112,9 +105,7 @@ def compute_weights(n: int, a, b) -> HermiteRule:
     a, b = rational_interval(a, b)
     h = b - a
     omegas = omega_coeffs(n)
-    w_a = tuple(w * h ** (j + 1) for j, w in enumerate(omegas))
-    w_b = tuple((-1) ** j * w for j, w in enumerate(w_a))
-    return HermiteRule(n=n, a=a, b=b, w_a=w_a, w_b=w_b)
+    return HermiteRule(a, b, tuple(w * h ** (j + 1) for j, w in enumerate(omegas)))
 
 
 def apply_rule(rule: HermiteRule, jet_a, jet_b):

@@ -46,6 +46,7 @@ def test_every_exported_name_resolves(module):
     (importlib.import_module("hermquad.kernel"), "isolate_roots"),
     (Partition, "step"),
     (Partition.uniform(0, 1, 2), "step"),
+    (HermiteRule, "from_json_dict"),
 ])
 def test_removed_names_are_absent(owner, name):
     assert not hasattr(owner, name)

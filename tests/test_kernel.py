@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hermquad import cli, kernel, verify
 from hermquad.exactmath import Polynomial, X
 from hermquad.kernel import (
+    KernelParams,
     KernelSet,
     RootIsolationError,
     _isolate_roots_exact,
@@ -68,6 +69,17 @@ class TestSolveParams:
             assert params.deltas[n - 4] == w ** 2 * (
                 w ** 2 + (6 - 4 * n) * s ** 2
             ) / Fraction(128 * (2 * n - 3) * (2 * n - 1))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_order_is_one_more_than_the_deltas(self, n):
+        params = solve_params(n, Fraction(1, 3), Fraction(7, 2))
+        assert params.n == n
+        assert len(params.deltas) == n - 1
+
+    def test_order_is_not_stored(self):
+        with pytest.raises(TypeError):
+            KernelParams(n=2, c=Fraction(-1, 2), deltas=(Fraction(-1, 24),))
+        assert KernelParams(Fraction(-1, 2), (Fraction(-1, 24),)) == solve_params(2, 0, 1)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

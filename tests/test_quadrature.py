@@ -67,9 +67,13 @@ class TestPartition:
             Partition((0, 0))
         with pytest.raises(ValueError):
             Partition((0, 2, 1))
-        # Order is checked on the exact values, not on the objects: as strings
-        # "1/3" > "1/2" and "10" < "9".
-        assert Partition(("0", "1/3", "1/2")).nodes == ("0", "1/3", "1/2")
+        # Nodes are stored, and their order checked, as exact values, not as
+        # the objects given: as strings "1/3" > "1/2" and "10" < "9".
+        nodes = Partition(("0", "1/3", "1/2")).nodes
+        assert nodes == (0, Fraction(1, 3), Fraction(1, 2))
+        assert all(type(x) is Fraction for x in nodes)
+        assert Partition(("0", "1")) == Partition((0, 1))
+        assert Partition((0.5, 1)) == Partition((Fraction(1, 2), "1"))
         with pytest.raises(ValueError, match="strictly increasing"):
             Partition(("0", "10", "9"))
         for a, b in [(1, 1), (2, 1), ("1/3", "0.333")]:
@@ -221,6 +225,12 @@ class TestIntegrateComposite:
         got = integrate_composite(jets, 3, Partition(nodes))
         assert isinstance(got, Fraction)
         assert got == p.integrate(-1, 3)
+
+    def test_string_nodes_integrate_as_their_values(self):
+        jets = jet_provider(parse("exp(x)"))
+        value = integrate_composite(jets, 2, Partition(("0", "1/3", "1/2")))
+        exact = integrate_composite(jets, 2, Partition((0, Fraction(1, 3), Fraction(1, 2))))
+        assert value.hex() == exact.hex()
 
     def test_float_nodes_are_read_exactly(self):
         nodes = (0.0, 0.1, 0.30000000000000004, 1.0)
@@ -520,7 +530,6 @@ class TestErrorReport:
         report = ErrorReport(
             quadrature_value=quad,
             reference_value=ref.value,
-            actual_error=quad - ref.value,
             bound_uniform=bound_uniform(samples, ks),
             bound_l2=bound_l2(samples, ks),
             bound_kind="midrange",
@@ -529,6 +538,13 @@ class TestErrorReport:
         slack = 1.01
         assert abs(report.actual_error) <= report.bound_uniform * slack
         assert abs(report.actual_error) <= report.bound_l2 * slack
+
+    def test_actual_error_is_derived(self):
+        assert ErrorReport(0.1, 0.3).actual_error.hex() == (0.1 - 0.3).hex()
+        assert ErrorReport(0.1).actual_error is None
+        assert ErrorReport(0.1, 0.3).to_json_dict()["error"] == 0.1 - 0.3
+        with pytest.raises(TypeError):
+            ErrorReport(0.1, 0.3, actual_error=0.0)
 
 
 class TestObservedOrders:

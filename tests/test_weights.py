@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermquad.exactmath import Polynomial, X
+from hermquad.exactmath import Polynomial, X, parse_rational
 from hermquad.interpolant import JetPair, build_hermite
 from hermquad.weights import HermiteRule, apply_rule, compute_weights, omega_coeffs
 
@@ -141,12 +141,37 @@ class TestJsonRoundTrip:
     def test_round_trip(self, n, interval):
         a, b = interval
         rule = compute_weights(n, a, b)
-        text = json.dumps(rule.to_json_dict())
-        assert HermiteRule.from_json_dict(json.loads(text)) == rule
+        doc = json.loads(json.dumps(rule.to_json_dict()))
+        assert doc["n"] == rule.n == n
+        assert (parse_rational(doc["a"]), parse_rational(doc["b"])) == (rule.a, rule.b)
+        assert tuple(map(parse_rational, doc["w_a"])) == rule.w_a
+        assert tuple(map(parse_rational, doc["w_b"])) == rule.w_b
 
     def test_rejects_corrupted_weights(self):
         rule = compute_weights(2, 0, 1)
-        doc = rule.to_json_dict()
-        doc["w_b"][1] = "1/12"  # breaks the (-1)^j symmetry
-        with pytest.raises(ValueError):
-            HermiteRule.from_json_dict(doc)
+        with pytest.raises(ValueError, match="interval length"):
+            HermiteRule(rule.a, rule.b, (Fraction(1, 3),) + rule.w_a[1:])
+
+
+class TestRuleRecord:
+    """A rule holds a, b and w_a; n and w_b are derived from w_a."""
+
+    def test_order_and_endpoint_weights_are_derived(self):
+        rule = HermiteRule(Fraction(0), Fraction(1), (Fraction(1, 2), Fraction(1, 12)))
+        assert rule.n == 2
+        assert rule.w_b == (Fraction(1, 2), Fraction(-1, 12))
+        assert rule == compute_weights(2, 0, 1)
+        assert rule.w_b is rule.w_b  # built once, on first read
+
+    def test_stored_copies_are_not_accepted(self):
+        rule = {"a": Fraction(0), "b": Fraction(1), "w_a": (Fraction(1, 2), Fraction(1, 12))}
+        copies = {"n": 2, "w_b": (Fraction(1, 2), Fraction(-1, 12))}
+        for extra in ({"n": 2}, {"w_b": copies["w_b"]}, copies):
+            with pytest.raises(TypeError):
+                HermiteRule(**rule, **extra)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="order"):
+            HermiteRule(Fraction(0), Fraction(1), ())
+        with pytest.raises(ValueError, match="a < b"):
+            HermiteRule(Fraction(1), Fraction(0), (Fraction(-1, 2),))
