@@ -21,7 +21,6 @@ from . import __version__
 from .exactmath import format_rational, parse_rational
 from .expressions import (
     EvalDomainError,
-    ParseError,
     derivative_function,
     evaluator,
     jet_provider,
@@ -45,10 +44,6 @@ from .weights import compute_weights
 _MAX_PANELS = 65536
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; the contract here is 1.
     def error(self, message):
@@ -59,32 +54,29 @@ def _parse_endpoint(text: str, allow_pi: bool) -> Fraction:
     s = text.strip().lower()
     if s in ("pi", "-pi", "+pi"):
         if not allow_pi:
-            raise _UsageError(
+            raise ValueError(
                 "the symbol 'pi' is only accepted by the float-path subcommands "
                 "(integrate, composite, bounds)"
             )
         return Fraction(-math.pi if s == "-pi" else math.pi)
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return parse_rational(text)
 
 
 def _parse_panel_counts(text: str) -> list:
     try:
         counts = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise _UsageError(f"--m expects an integer or comma-separated integers, got {text!r}")
+        raise ValueError(f"--m expects an integer or comma-separated integers, got {text!r}")
     if not counts or any(m < 1 for m in counts):
-        raise _UsageError("--m values must be positive integers")
+        raise ValueError("--m values must be positive integers")
     if sum(counts) > _MAX_PANELS:
-        raise _UsageError(f"--m values may total at most {_MAX_PANELS} panels")
+        raise ValueError(f"--m values may total at most {_MAX_PANELS} panels")
     return counts
 
 
 def _oracle_config(tol: float) -> OracleConfig:
     if not 0 < tol < math.inf:
-        raise _UsageError("--tol must be finite and positive")
+        raise ValueError("--tol must be finite and positive")
     return OracleConfig(tol=tol)
 
 
@@ -153,13 +145,13 @@ def _float_path_inputs(args):
     a = _parse_endpoint(args.a, allow_pi=True)
     b = _parse_endpoint(args.b, allow_pi=True)
     if a >= b:
-        raise _UsageError("endpoints must satisfy a < b")
+        raise ValueError("endpoints must satisfy a < b")
     try:
         lo, hi = float(a), float(b)
     except OverflowError:
-        raise _UsageError("endpoints must lie within the double range") from None
+        raise ValueError("endpoints must lie within the double range") from None
     if lo == hi:
-        raise _UsageError(f"endpoints must be distinct doubles; both round to {lo!r}")
+        raise ValueError(f"endpoints must be distinct doubles; both round to {lo!r}")
     return a, b, parse(args.fn), _oracle_config(args.tol)
 
 
@@ -175,35 +167,36 @@ def _cmd_single(args) -> int:
     """``integrate`` and ``bounds``: one interval, one ErrorReport."""
     a, b, expr, cfg = _float_path_inputs(args)
     n = args.n
-    order = None
+    order = 0
     if args.command == "bounds":
         order = n if args.bound_order is None else args.bound_order
         if not n <= order <= 2 * n:
-            raise _UsageError(
+            raise ValueError(
                 f"--bound-order {order} is not available for n = {n}; "
                 f"use {n}..{2 * n}"
             )
     value = float(integrate_single(jet_provider(expr), n, a, b))
     reference = _converged_reference(expr, a, b, cfg)
-    bounds = {}
-    if order is not None:
+    uniform = l2 = stable = error_via = None
+    if order:
         ks = kernel_set(n, a, b)
         f_deriv = derivative_function(expr, order)
         if order < 2 * n:
             uniform, l2, stable = refined_bounds(f_deriv, ks, k=order - n)
-            bounds = {"bound_uniform": uniform, "bound_l2": l2, "bound_stable": stable}
         else:
             error_via = error_exact(f_deriv, ks, cfg, k=n)
-            bounds = {"error_via_derivative": error_via, "bound_kind": "mean"}
-        bounds["derivative_order_used"] = order
     report = ErrorReport(
         quadrature_value=value,
         reference_value=reference.value,
+        bound_uniform=uniform,
+        bound_l2=l2,
+        derivative_order_used=order,
         n=n,
         h=float(b - a),
         fn=args.fn,
         reference_err_estimate=reference.err_estimate,
-        **bounds,
+        bound_stable=stable,
+        error_via_derivative=error_via,
     )
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2))
@@ -375,12 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # EvalDomainError is a ValueError too, so the numerical clause comes first.
     try:
         return args.func(args)
     except (EvalDomainError, ConvergenceError, RootIsolationError, OverflowError) as exc:
         print(f"hermquad: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"hermquad: error: {exc}", file=sys.stderr)
         return 1
 

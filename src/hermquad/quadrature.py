@@ -88,8 +88,9 @@ class ErrorReport:
     estimates; ``derivative_order_used`` records which derivative f^(n+k)
     fed them (0: no bounds requested).  At order 2n,
     ``error_via_derivative`` holds the exact error through that derivative
-    in place of bounds.  ``to_json_dict`` and ``csv_cells`` serialize the
-    record (docs/json-schemas.md).
+    in place of bounds, and ``bound_kind``, derived from the order, is
+    "mean" there and "midrange" otherwise.  ``to_json_dict`` and
+    ``csv_cells`` serialize the record (docs/json-schemas.md).
     """
 
     #: Serialized column name -> field, in CSV column order.
@@ -110,7 +111,6 @@ class ErrorReport:
     reference_value: float | None = None
     bound_uniform: float | None = None
     bound_l2: float | None = None
-    bound_kind: str = "midrange"
     derivative_order_used: int = 0
     n: int | None = None
     m: int = 1
@@ -126,6 +126,11 @@ class ErrorReport:
         if self.reference_value is None:
             return None
         return self.quadrature_value - self.reference_value
+
+    @property
+    def bound_kind(self) -> str:
+        order_2n = self.n is not None and self.derivative_order_used == 2 * self.n
+        return "mean" if order_2n else "midrange"
 
     def csv_cells(self) -> list:
         """The ``CSV_COLUMNS`` values, empty where a value does not apply."""

@@ -5,9 +5,9 @@ f, f', ..., f^(n-1) at both endpoints, and takes the form
 
     integral(f, a, b)  ~  sum_j  w_a[j] f^(j)(a) + w_b[j] f^(j)(b)
 
-with exact rational weights
+with exact rational weights, the classical two-point Obreshkov weights,
 
-    w_a[j] = (b-a)^(j+1) * n * sum_{k=j}^{n-1} C(k,j) (n+k-j-1)! / (n+k+1)!
+    w_a[j] = (b-a)^(j+1) * n! (2n-j-1)! / ((2n)! (n-j-1)! (j+1)!)
     w_b[j] = (-1)^j * w_a[j].
 
 The dimensionless coefficients ``omega_coeffs`` are the interval-free part,
@@ -84,18 +84,13 @@ class HermiteRule:
 def omega_coeffs(n: int) -> tuple:
     """Interval-free weight coefficients: omega[j] = w_a[j] / (b-a)^(j+1).
 
+    omega[j] = n! (2n-j-1)! / ((2n)! (n-j-1)! (j+1)!), one term per weight.
     omega[0] is always 1/2, so the n = 1 rule is the trapezoidal rule.
     """
     _check_order(n)
-    # One denominator (2n)!: the k-th term is C(k,j) (n+k-j-1)! (2n)!/(n+k+1)!.
-    den = math.factorial(2 * n)
-    over = [den // math.factorial(n + k + 1) for k in range(n)]
+    f = math.factorial
     return tuple(
-        Fraction(
-            n * sum(math.comb(k, j) * math.factorial(n + k - j - 1) * over[k] for k in range(j, n)),
-            den,
-        )
-        for j in range(n)
+        Fraction(f(n) * f(2 * n - j - 1), f(2 * n) * f(n - j - 1) * f(j + 1)) for j in range(n)
     )
 
 

@@ -647,6 +647,11 @@ class TestUsageErrors:
         assert code == 1
         assert "rational" in err
 
+    def test_bad_rational_message(self, capsys):
+        code, out, err = run(capsys, "weights", "--n", "2", "--a=1/0", "--b", "1")
+        assert (code, out) == (1, "")
+        assert err == "hermquad: error: invalid rational literal '1/0'\n"
+
 
 CONTRACT = json.loads((Path(__file__).parent / "data" / "cli_contract.json").read_text())
 

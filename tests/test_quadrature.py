@@ -532,9 +532,9 @@ class TestErrorReport:
             reference_value=ref.value,
             bound_uniform=bound_uniform(samples, ks),
             bound_l2=bound_l2(samples, ks),
-            bound_kind="midrange",
             derivative_order_used=n,
         )
+        assert report.bound_kind == "midrange"
         slack = 1.01
         assert abs(report.actual_error) <= report.bound_uniform * slack
         assert abs(report.actual_error) <= report.bound_l2 * slack
@@ -545,6 +545,15 @@ class TestErrorReport:
         assert ErrorReport(0.1, 0.3).to_json_dict()["error"] == 0.1 - 0.3
         with pytest.raises(TypeError):
             ErrorReport(0.1, 0.3, actual_error=0.0)
+
+    def test_bound_kind_is_derived_from_the_order(self):
+        assert ErrorReport(0.1, n=2, derivative_order_used=4).bound_kind == "mean"
+        assert ErrorReport(0.1, n=2, derivative_order_used=3).bound_kind == "midrange"
+        assert ErrorReport(0.1, n=2, derivative_order_used=2).bound_kind == "midrange"
+        assert ErrorReport(0.1, derivative_order_used=4).bound_kind == "midrange"
+        assert ErrorReport(0.1, n=2, m=8, h=0.125).bound_kind == "midrange"
+        with pytest.raises(TypeError):
+            ErrorReport(0.1, bound_kind="mean")
 
 
 class TestObservedOrders:

@@ -76,6 +76,19 @@ class TestOmegaCoeffs:
         with pytest.raises(ValueError):
             omega_coeffs(0)
 
+    def test_equals_the_sum_form(self):
+        # The n-j term sum omega[j] = n sum_{k=j}^{n-1} C(k,j) (n+k-j-1)! / (n+k+1)!.
+        for n in range(1, 65):
+            expected = tuple(
+                n * sum(
+                    Fraction(math.comb(k, j) * math.factorial(n + k - j - 1),
+                             math.factorial(n + k + 1))
+                    for k in range(j, n)
+                )
+                for j in range(n)
+            )
+            assert omega_coeffs(n) == expected
+
 
 class TestApplyRule:
     def test_quartic_by_hand(self):
