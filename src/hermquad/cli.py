@@ -20,6 +20,7 @@ from functools import cache
 from . import __version__
 from .exactmath import format_rational, parse_rational
 from .expressions import (
+    _BATCH_ORDER,
     EvalDomainError,
     derivative_function,
     evaluator,
@@ -130,8 +131,9 @@ def _cmd_kernel(args) -> int:
             writer.writerow([power, format_rational(coeff)])
     else:
         print(f"error kernel, order n = {ks.n} on [{format_rational(a)}, {format_rational(b)}]")
-        print(f"  K(x) = {ks.kernel}")
-        params = ks.params
+        kernel = ks.kernel
+        print(f"  K(x) = {kernel}")
+        params = ks._params(kernel)
         print(f"  c = {format_rational(params.c)}")
         for i, d in enumerate(params.deltas):
             print(f"  delta_{i} = {format_rational(d)}")
@@ -227,8 +229,19 @@ def _cmd_composite(args) -> int:
     reference = _converged_reference(expr, a, b, cfg)
     # Rows share nodes (m and 2m panels share m + 1), so each node's jet is
     # built once.  A jet reads its node only as a double, so that is the key.
+    # One batch, a single walk of the expression, fills the memo with every
+    # distinct double first.  If it fails, the rows fill it node by node, so
+    # an error is the one a row meets first.  Above the batch order a batch
+    # would be one jet per point, no cheaper than the rows' own: none is run.
     provider = jet_provider(expr)
+    partitions = [Partition.uniform(a, b, m) for m in counts]
     node_jets = {}
+    if 0 <= args.n - 1 <= _BATCH_ORDER:
+        doubles = list(dict.fromkeys(float(x) for partition in partitions for x in partition.nodes))
+        try:
+            node_jets = dict(zip(doubles, provider.many(doubles, args.n - 1)))
+        except EvalDomainError:
+            pass
 
     def jets(x, order):
         jet = node_jets.get(key := float(x))
@@ -236,7 +249,7 @@ def _cmd_composite(args) -> int:
             jet = node_jets[key] = provider(x, order)
         return jet
 
-    values = [float(integrate_composite(jets, args.n, Partition.uniform(a, b, m))) for m in counts]
+    values = [float(integrate_composite(jets, args.n, partition)) for partition in partitions]
     orders = observed_orders([abs(value - reference.value) for value in values], counts)
     reports = [
         ErrorReport(

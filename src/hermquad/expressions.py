@@ -32,6 +32,12 @@ So a jet and a batch fail at the same node with the same message.
 ``evaluator`` evaluates through the batch form, one point or a whole list
 at once.  Integer powers run one binary exponentiation for both forms.
 
+Jets come in batches too: ``jet_provider(expr).many`` runs the jet rules
+once with each coefficient t_k a ``_Points``, a list over the points whose
+operators act point by point, so each point's jet has the bits of its own
+walk.  A batch saves the walk per point but allocates a list per operation
+and term, so above order _BATCH_ORDER each point gets its own walk.
+
 Products are priced by degree.  The walk records each node's degree as a
 polynomial in x (a constant 0, x 1, sums the max, products the sum, an
 integer power the multiple, anything else dense) and picks each product's
@@ -357,12 +363,42 @@ def _constant(value: float, m: int) -> list:
     return out
 
 
+def _pointwise(op):
+    """``op`` and its reflected form point by point, the other operand a
+    _Points or one number for every point."""
+
+    def forward(u, v):
+        return _Points(map(op, u, v if type(v) is _Points else [v] * len(u)))
+
+    return forward, lambda u, v: _Points(map(op, [v] * len(u), u))
+
+
+class _Points(list):
+    """A coefficient of a batch of jets: its value at each point of the batch.
+
+    The operators act point by point (``+=`` too, which a list would read
+    as extend), so the jet rules run unchanged on jets whose coefficients
+    are _Points, and each point keeps its own jet's order of operations.
+    """
+
+    __slots__ = ()
+    __add__, __radd__ = _pointwise(operator.add)
+    __sub__, __rsub__ = _pointwise(operator.sub)
+    __mul__, __rmul__ = _pointwise(operator.mul)
+    __truediv__, __rtruediv__ = _pointwise(operator.truediv)
+    __iadd__, __isub__, __imul__ = __add__, __sub__, __mul__
+
+    def __neg__(self):
+        return _Points(map(operator.neg, self))
+
+
 # -- order-0 rules ------------------------------------------------------
 # Each rule maps order-0 values to order-0 values: a list over the points of
 # a batch, or one float, for a node that is the same at every point and for
-# t_0 of a jet.  The batch form is made of these rules, and the jet rules
-# call them on t_0, so each domain check and its message live here only.
-# A rule raises when its check fails at any point.
+# t_0 of a jet (a _Points in a batch of jets, which the arithmetic rules
+# take as one number).  The batch form is made of these rules, and the jet
+# rules call them on t_0, so each domain check and its message live here
+# only.  A rule raises when its check fails at any point.
 
 
 def _plus(u, v):
@@ -407,7 +443,7 @@ def _checked(fn, error, message):
 
     def rule(u, node, message=message):
         try:
-            return list(map(fn, u)) if type(u) is list else fn(u)
+            return type(u)(map(fn, u)) if isinstance(u, list) else fn(u)
         except error:
             raise EvalDomainError(message.format(node=node), node) from None
 
@@ -424,10 +460,10 @@ _cos0 = _checked(math.cos, ValueError, "{node.name} of an infinite value")
 
 def _sqrt0(u, node):
     message = "sqrt of a non-positive value"
-    if (0.0 in u) if type(u) is list else u == 0.0:  # the jet recurrence divides by sqrt(t_0)
+    if (0.0 in u) if isinstance(u, list) else u == 0.0:  # the jet recurrence divides by sqrt(t_0)
         raise EvalDomainError(message, node)
     try:  # math.sqrt rejects exactly the negative values
-        return list(map(math.sqrt, u)) if type(u) is list else math.sqrt(u)
+        return type(u)(map(math.sqrt, u)) if isinstance(u, list) else math.sqrt(u)
     except ValueError:
         raise EvalDomainError(message, node) from None
 
@@ -462,7 +498,10 @@ def _mul(u, v, du=None, dv=None):
     top = len(u) - 1
     du = top if du is None or du > top else du
     dv = top if dv is None or dv > top else dv
-    if du == top == dv or not math.isfinite(sum(u) + sum(v)):  # the sums only test finiteness
+    if du == top == dv:
+        return _band(u, v, top, top)
+    total = sum(u) + sum(v)  # only its finiteness is tested, at every point of a batch
+    if not (all(map(math.isfinite, total)) if type(total) is _Points else math.isfinite(total)):
         return _band(u, v, top, top)
     if du == 0 or dv == 0:
         return _times(u[0], v) if du == 0 else _times(u, v[0])
@@ -705,12 +744,42 @@ def jet_eval(expr: Expr, x0, m: int) -> TaylorJet:
     return TaylorJet(tuple(expr.compiled.jet(float(x0), m)))
 
 
+#: Highest order at which ``jet_provider(expr).many`` walks the expression
+#: once for all its points; above it each point gets its own walk.  A batch
+#: saves the walk per point but builds a list per operation and term, so its
+#: gain falls with the order.  Over 513 points of three benchmark-shaped
+#: integrands (Python 3.11, 2-core Xeon, best of 7) it was 3.9-8.1x faster
+#: than per-point jets at order 1, 1.3-2.1x at 7, 1.2-1.3x at 15, 1.0-1.4x
+#: at 23, 0.7-1.1x at 31 and 0.7-0.9x at 63.
+_BATCH_ORDER = 23
+
+
 def jet_provider(expr: Expr):
-    """Adapter for the quadrature engine: (x, m) -> derivatives 0..m at x."""
+    """Adapter for the quadrature engine: (x, m) -> derivatives 0..m at x.
+
+    Its attribute ``many`` maps a list of points to the derivatives at each,
+    the tuples the adapter gives, bit for bit.  Up to order _BATCH_ORDER it
+    runs one walk of the expression for all the points, each coefficient a
+    _Points; above it, and if that walk raises, it runs one jet per point,
+    so an error is the one the first failing point raises.
+    """
 
     def jets(x, m):
         return jet_eval(expr, x, m).derivatives()
 
+    def many(xs, m):
+        if isinstance(m, int) and 0 <= m <= _BATCH_ORDER:
+            points = _Points(map(float, xs))
+            try:
+                coeffs = expr.compiled.jet(points, m)
+            except EvalDomainError:
+                pass
+            else:
+                scaled = (math.factorial(k) * t for k, t in enumerate(coeffs))
+                return list(zip(*(t if type(t) is _Points else [t] * len(points) for t in scaled)))
+        return [jets(x, m) for x in xs]
+
+    jets.many = many
     return jets
 
 

@@ -122,9 +122,13 @@ class KernelSet:
         remainder has degree at most n-2 (K is even or odd about the
         midpoint), and its trailing zero coefficients are padded back.
         """
+        return self._params(self.kernel)
+
+    def _params(self, kernel: Polynomial) -> KernelParams:
+        """``params``, read off ``kernel``, this set's kernel built by the caller."""
         n = self.n
         c = -(self.a + self.b) / 2
-        rest = (self.kernel - (X + c) ** n / math.factorial(n)).coeffs
+        rest = (kernel - (X + c) ** n / math.factorial(n)).coeffs
         rest += (Fraction(0),) * (n - 1 - len(rest))
         return KernelParams(c, tuple(math.factorial(i) * d for i, d in enumerate(rest)))
 
@@ -154,12 +158,13 @@ class KernelSet:
         return float(_unit_abs_integral(self.n, k) * self.h ** (self.n + k + 1))
 
     def to_json_dict(self) -> dict:
-        params = self.params
+        kernel = self.kernel
+        params = self._params(kernel)
         return {
             "n": self.n,
             "a": format_rational(self.a),
             "b": format_rational(self.b),
-            "coeffs": [format_rational(c) for c in self.kernel.coeffs],
+            "coeffs": [format_rational(c) for c in kernel.coeffs],
             "params": {
                 "c": format_rational(params.c),
                 "deltas": [format_rational(d) for d in params.deltas],

@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 
+def _grid(nodes) -> tuple:
+    """(den, ticks): exact nodes on one integer grid, node i = ticks[i] / den."""
+    den = math.lcm(*(x.denominator for x in nodes))
+    return den, [x.numerator * (den // x.denominator) for x in nodes]
+
+
 @dataclass(frozen=True)
 class Partition:
     """Nodes x_0 < ... < x_m covering [x_0, x_m]; a partition is its exact nodes.
@@ -60,9 +66,9 @@ class Partition:
         if len(nodes) < 2:
             raise ValueError("a partition needs at least two nodes")
         object.__setattr__(self, "nodes", tuple(map(rational, nodes)))
-        for left, right in zip(self.nodes, self.nodes[1:]):
-            if not left < right:
-                raise ValueError("partition nodes must be strictly increasing")
+        _, ticks = _grid(self.nodes)
+        if not all(t0 < t1 for t0, t1 in zip(ticks, ticks[1:])):
+            raise ValueError("partition nodes must be strictly increasing")
 
     @classmethod
     def uniform(cls, a, b, m: int) -> "Partition":
@@ -173,22 +179,24 @@ def integrate_composite(jets, n: int, partition: Partition):
 
     ``jets`` is called once per node, in node order, with the node's exact
     ``Fraction``, and adjacent panels share the jet at their common node.
-    Each width is the exact difference of its two nodes, so the value
-    depends on the nodes alone.  Consecutive panels of equal width share
-    one rule.  When every jet entry is a float, each rule's weights are
-    rounded to doubles once, which is what ``Fraction * float`` would do on
-    every panel; other jets keep the exact weights.
+    The nodes are read as integer ticks over their common denominator, and
+    each width is the exact difference of two ticks, so the value depends
+    on the nodes alone.  Consecutive panels of equal width share one rule,
+    and only a new width becomes a ``Fraction``.  When every jet entry is a
+    float, each rule's weights are rounded to doubles once, which is what
+    ``Fraction * float`` would do on every panel; other jets keep the exact
+    weights.
     """
     nodes = partition.nodes
     node_jets = [jets(x, n - 1) for x in nodes]
     floats = all(isinstance(v, float) for jet in node_jets for v in jet[:n])
-    widths = [x1 - x0 for x0, x1 in zip(nodes, nodes[1:])]
+    den, ticks = _grid(nodes)
     width = None
     total = 0
-    for h, left, right in zip(widths, node_jets, node_jets[1:]):
-        if h != width:
-            width = h
-            rule = compute_weights(n, 0, h)
+    for t0, t1, left, right in zip(ticks, ticks[1:], node_jets, node_jets[1:]):
+        if t1 - t0 != width:
+            width = t1 - t0
+            rule = compute_weights(n, 0, Fraction(width, den))
             weights = tuple(map(float, rule.w_a)) if floats else rule.w_a
         for j, w in enumerate(weights):
             total += w * (left[j] - right[j] if j & 1 else left[j] + right[j])

@@ -76,6 +76,21 @@ class TestKernelCommand:
         assert code == 0
         assert "x - 1/2" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_the_kernel_is_built_once(self, capsys, monkeypatch, fmt):
+        argv = ("kernel", "--n", "4", "--a", "1/3", "--b", "2", "--format", fmt)
+        want = run(capsys, *argv)
+        member = kernel.KernelSet.member
+        built = []
+
+        def counted(self, k):
+            built.append(k)
+            return member(self, k)
+
+        monkeypatch.setattr(kernel.KernelSet, "member", counted)
+        assert run(capsys, *argv) == want
+        assert built == [0]
+
 
 class TestIntegrateCommand:
     def test_motivating_example_json(self, capsys):
@@ -148,43 +163,45 @@ class TestCompositeCommand:
         )
         assert code == 1
 
-    def test_each_distinct_node_jet_is_built_once(self, capsys, monkeypatch):
-        # Nodes of m = 1, 2, 4, 3: 2 + 3 + 5 + 4 = 14 in the rows, 7 distinct.
+    @staticmethod
+    def counting_provider(monkeypatch):
+        """Patch cli.jet_provider to record the points its jets are asked for:
+        returns (the points handed to the batch, the points asked one at a time)."""
         provider = cli.jet_provider
-        nodes = []
+        batch, single = [], []
 
         def counting_provider(expr):
             jets = provider(expr)
 
             def counted(x, m):
-                nodes.append(x)
+                single.append(x)
                 return jets(x, m)
 
+            def many(xs, m):
+                batch.extend(xs)
+                return jets.many(xs, m)
+
+            counted.many = many
             return counted
 
+        monkeypatch.setattr(cli, "jet_provider", counting_provider)
+        return batch, single
+
+    def test_each_distinct_node_jet_is_built_once(self, capsys, monkeypatch):
+        # Nodes of m = 1, 2, 4, 3: 2 + 3 + 5 + 4 = 14 in the rows, 7 distinct,
+        # all handed to one batch before the rows run.
         argv = ("composite", "--n", "3", "--a", "0", "--b", "1", "--fn", "exp(x)",
                 "--m", "1,2,4,3", "--format", "json")
         want = run(capsys, *argv)
-        monkeypatch.setattr(cli, "jet_provider", counting_provider)
+        batch, single = self.counting_provider(monkeypatch)
         assert run(capsys, *argv) == want
-        assert len(nodes) == len(set(nodes)) == 7
+        assert len(batch) == len(set(batch)) == 7
+        assert single == []
 
     def test_nodes_that_round_to_one_double_share_one_jet(self, capsys, monkeypatch):
         # The 1 + 2 + 4 panels have 5 distinct rational nodes but 2 distinct doubles,
         # 1 and 1 + 2^-52; the table is the one the per-node memo printed.
-        provider = cli.jet_provider
-        nodes = []
-
-        def counting_provider(expr):
-            jets = provider(expr)
-
-            def counted(x, m):
-                nodes.append(x)
-                return jets(x, m)
-
-            return counted
-
-        monkeypatch.setattr(cli, "jet_provider", counting_provider)
+        batch, single = self.counting_provider(monkeypatch)
         code, out, err = run(capsys, "composite", "--n", "2", "--a", "1", "--b", "1.0000000000000002",
                              "--fn", "exp(x)", "--m", "1,2,4", "--format", "csv")
         assert (code, err) == (0, "")
@@ -195,7 +212,26 @@ class TestCompositeCommand:
             "-2.40256987786119e-15,,\n"
             "2,4,5e-17,5.43656365691809e-16,6.035798146750804e-16,-5.992344898327136e-17,0.0,,\n"
         )
-        assert [float(x) for x in nodes] == [1.0, 1.0 + 2.0 ** -52]
+        assert [float(x) for x in batch] == [1.0, 1.0 + 2.0 ** -52]
+        assert single == []
+
+    @pytest.mark.parametrize("argv,code,err", [
+        # The batch would meet sqrt at 0 first; row 1 meets the order cap first.
+        (("--n", "70", "--a=-1", "--b=2", "--fn", "sqrt(x^2)", "--m", "1,3"), 1,
+         "hermquad: error: rule order 70 exceeds the cap 64\n"),
+        (("--n", "3", "--a=-1", "--b=2", "--fn", "sqrt(x^2)", "--m", "1,3"), 2,
+         "hermquad: numerical failure: sqrt of a non-positive value in 'sqrt((x ^ 2))'\n"),
+        (("--n", "0", "--a", "0", "--b", "1", "--fn", "x", "--m", "1,3"), 1,
+         "hermquad: error: jet order must be a nonnegative integer, got -1\n"),
+        # One walk over all the nodes fails first at 1/4 (the left term); the
+        # rows meet 1/2 (m = 2) before 1/4 (m = 4).
+        (("--n", "3", "--a", "0", "--b", "1", "--fn", "sqrt((x-0.25)^2)+sqrt((x-0.5)^2)",
+          "--m", "1,2,4"), 2,
+         "hermquad: numerical failure: sqrt of a non-positive value in 'sqrt(((x - 0.5) ^ 2))'\n"),
+    ])
+    def test_errors_are_the_ones_the_rows_meet_first(self, capsys, argv, code, err):
+        # Each expected error was recorded before node jets were batched.
+        assert run(capsys, "composite", *argv) == (code, "", err)
 
     def test_orders_of_counts_that_do_not_double(self, capsys):
         # Each order compares a row with the one before it, whatever their ratio.

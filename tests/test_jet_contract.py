@@ -4,8 +4,10 @@
 below, the jet coefficients as ``float.hex`` strings or the exception type
 and message.  Its first part was recorded before the constant folder became
 exact-only, the ``SHAPES`` part before expressions were compiled once,
-and the ``DEGREE_RULES`` part before jet rules were priced by degree;
-regenerate it from a checkout with
+and the ``DEGREE_RULES`` part before jet rules were priced by degree.
+Each recorded (expression, order) group is also replayed as one batch of
+jets, ``jet_provider(expr).many``, which must give the same bits at every
+point.  Regenerate the file from a checkout with
 
     PYTHONPATH=src python tests/test_jet_contract.py > tests/data/jet_contract.json
 
@@ -24,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from hermquad.cli import main
-from hermquad.expressions import EvalDomainError, jet_eval, parse
+from hermquad.expressions import EvalDomainError, jet_eval, jet_provider, parse
 
 #: One of each benchmark factor kind per parameter, two rendered benchmark
 #: integrands, and the test corpus.
@@ -127,6 +129,34 @@ def test_jet_contract(want):
     if "message" in want:
         want = dict(want, message=_renamed(want["message"]))
     assert got == want
+
+
+def _groups() -> dict:
+    """The recorded entries by (expression, order), points in recorded order."""
+    groups = {}
+    for entry in CONTRACT:
+        groups.setdefault((entry["fn"], entry["m"]), []).append(entry)
+    return groups
+
+
+GROUPS = _groups()
+
+
+@pytest.mark.parametrize("fn, m", GROUPS, ids=str)
+def test_jet_contract_as_one_batch(fn, m):
+    # Each point's derivatives are k! t_k of its recorded coefficients, bit for bit.
+    entries = GROUPS[fn, m]
+    many = jet_provider(parse(fn)).many
+    fine = [e for e in entries if "jet" in e]
+    want = [[(math.factorial(k) * float.fromhex(t)).hex() for k, t in enumerate(e["jet"])]
+            for e in fine]
+    assert [[t.hex() for t in jet] for jet in many([e["x0"] for e in fine], m)] == want
+    failing = [e for e in entries if "error" in e]
+    if failing:  # the batch of all the points raises the first failing point's error
+        with pytest.raises(EvalDomainError) as err:
+            many([e["x0"] for e in entries], m)
+        assert (type(err.value).__name__, str(err.value)) == (
+            failing[0]["error"], _renamed(failing[0]["message"]))
 
 
 class TestExponentRules:

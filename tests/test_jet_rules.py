@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from hermquad import cli, expressions
 from hermquad.expressions import (
-    FUNCTIONS, BinOp, Call, EvalDomainError, Neg, Num, Pi, Var, evaluator, jet_eval, parse,
+    FUNCTIONS, BinOp, Call, EvalDomainError, Neg, Num, Pi, Var, evaluator, jet_eval, jet_provider,
+    parse,
 )
 from hermquad.oracle import reference_integrate
 
@@ -384,3 +385,66 @@ class TestBatchForm:
         got = reference_integrate(wrapped, 1e-3, 1.0)
         assert got == reference_integrate(f, 1e-3, 1.0)
         assert len(points) == 15 * got.panels
+
+
+# -- batches of jets -----------------------------------------------------
+
+
+def jets_one_at_a_time(expr, xs, m):
+    """Each point's derivatives as hex, or the first failing point's error."""
+    try:
+        return [[t.hex() for t in jet_eval(expr, x, m).derivatives()] for x in xs]
+    except EvalDomainError as exc:
+        return "EvalDomainError", str(exc)
+
+
+def jets_in_one_batch(expr, xs, m):
+    try:
+        return [[t.hex() for t in jet] for jet in jet_provider(expr).many(xs, m)]
+    except EvalDomainError as exc:
+        return "EvalDomainError", str(exc)
+
+
+class TestBatchJets:
+    # Orders run past the batch order, where each point gets its own jet.
+    @settings(max_examples=200, deadline=None)
+    @given(TREES, st.lists(POINTS | st.floats(), min_size=1, max_size=40), st.integers(0, 30))
+    def test_a_batch_equals_its_points_jets(self, text, xs, m):
+        expr = parse(text)
+        assert jets_in_one_batch(expr, xs, m) == jets_one_at_a_time(expr, xs, m)
+
+    @pytest.mark.parametrize("m", [0, 1, 7, expressions._BATCH_ORDER, expressions._BATCH_ORDER + 1])
+    def test_one_walk_up_to_the_batch_order(self, monkeypatch, m):
+        calls = []
+        one_jet = expressions.jet_eval
+
+        def spy(*args):
+            calls.append(args)
+            return one_jet(*args)
+
+        monkeypatch.setattr(expressions, "jet_eval", spy)
+        expr = parse("exp(x)*sin(x) + 1/(2+x^2)")
+        xs = [0.5, 1.5, -2.5]
+        got = jet_provider(expr).many(xs, m)
+        assert len(calls) == (0 if m <= expressions._BATCH_ORDER else 3)
+        assert got == [one_jet(expr, x, m).derivatives() for x in xs]
+        assert all(type(jet) is tuple for jet in got)
+
+    def test_a_failing_batch_raises_the_first_failing_points_error(self):
+        # One walk meets sqrt at -1 first; the first point, 0.5, fails in log.
+        expr = parse("sqrt(x) + log(x - 1)")
+        want = jets_one_at_a_time(expr, [0.5, -1.0], 3)
+        assert want == ("EvalDomainError", "log of a non-positive value in 'log((x - 1))'")
+        assert jets_in_one_batch(expr, [0.5, -1.0], 3) == want
+        assert jets_in_one_batch(expr, [2.0, 3.0], 3) == jets_one_at_a_time(expr, [2.0, 3.0], 3)
+
+    def test_points_operate_point_by_point(self):
+        u, v = expressions._Points([1.0, 2.0]), expressions._Points([4.0, 8.0])
+        acc = u
+        acc += v
+        acc -= 0.5
+        acc *= 2
+        assert u == [1.0, 2.0]  # in place, a list would extend or repeat
+        assert (acc, 1 - u, 3 / v, -u, u / 2) == ([9.0, 19.0], [0.0, -1.0], [0.75, 0.375],
+                                                 [-1.0, -2.0], [0.5, 1.0])
+        assert all(type(t) is expressions._Points for t in (acc, 1 - u, 3 / v, -u, u * v))

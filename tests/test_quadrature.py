@@ -80,6 +80,23 @@ class TestPartition:
             with pytest.raises(ValueError, match="strictly increasing"):
                 Partition.uniform(a, b, 4)
 
+    def test_nodes_are_checked_on_one_integer_grid(self):
+        # Node i is ticks[i] / den over the nodes' common denominator; the
+        # order is checked on the ticks: 1/3 < 1/2 is 2 < 3 in sixths.
+        assert quadrature._grid(Partition(("0", "1/3", "1/2")).nodes) == (6, [0, 2, 3])
+        assert quadrature._grid(tuple(map(Fraction, ("0", "10", "9")))) == (1, [0, 10, 9])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Partition(("0", "10", "9"))
+        # Neighbours 1/300000 apart, over denominators 3 and 100000.
+        assert Partition(("0.33333", "1/3")).nodes == (Fraction(33333, 100000), Fraction(1, 3))
+        for nodes in [("1/3", "0.33333"), ("1/3", "2/6"), ("-1/3", "1/2", "0.5")]:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Partition(nodes)
+        # The nodes of a uniform partition are equally spaced ticks.
+        den, ticks = quadrature._grid(Partition.uniform("-0.3141", Fraction(math.pi), 7).nodes)
+        assert len({t1 - t0 for t0, t1 in zip(ticks, ticks[1:])}) == 1
+        assert Fraction(ticks[-1] - ticks[0], den) == Fraction(math.pi) + Fraction("0.3141")
+
     def test_uniform_is_exact(self):
         part = Partition.uniform(0, 1, 3)
         assert part.nodes == (0, Fraction(1, 3), Fraction(2, 3), 1)
