@@ -19,14 +19,7 @@ from functools import cache
 
 from . import __version__
 from .exactmath import format_rational, parse_rational
-from .expressions import (
-    _BATCH_ORDER,
-    EvalDomainError,
-    derivative_function,
-    evaluator,
-    jet_provider,
-    parse,
-)
+from .expressions import EvalDomainError, derivative_function, evaluator, jet_provider, parse
 from .kernel import RootIsolationError, kernel_set
 from .oracle import ConvergenceError, OracleConfig, reference_integrate
 from .quadrature import (
@@ -39,7 +32,7 @@ from .quadrature import (
     refined_bounds,
 )
 from .verify import run_checks
-from .weights import compute_weights
+from .weights import _check_order, compute_weights
 
 #: Cap on the panels of one composite table, summed over its rows.
 _MAX_PANELS = 65536
@@ -226,28 +219,19 @@ def _cmd_single(args) -> int:
 def _cmd_composite(args) -> int:
     a, b, expr, cfg = _float_path_inputs(args)
     counts = _parse_panel_counts(args.m)
+    _check_order(args.n)
     reference = _converged_reference(expr, a, b, cfg)
-    # Rows share nodes (m and 2m panels share m + 1), so each node's jet is
-    # built once.  A jet reads its node only as a double, so that is the key.
-    # One batch, a single walk of the expression, fills the memo with every
-    # distinct double first.  If it fails, the rows fill it node by node, so
-    # an error is the one a row meets first.  Above the batch order a batch
-    # would be one jet per point, no cheaper than the rows' own: none is run.
-    provider = jet_provider(expr)
+    # Rows share nodes (m and 2m panels share m + 1), and a jet reads its
+    # node only as a double, so one ``many`` call builds the jet of each
+    # distinct double.  The doubles are listed in the order the rows first
+    # meet them, so the error ``many`` raises, its first failing point's, is
+    # the one the rows would meet first.
     partitions = [Partition.uniform(a, b, m) for m in counts]
-    node_jets = {}
-    if 0 <= args.n - 1 <= _BATCH_ORDER:
-        doubles = list(dict.fromkeys(float(x) for partition in partitions for x in partition.nodes))
-        try:
-            node_jets = dict(zip(doubles, provider.many(doubles, args.n - 1)))
-        except EvalDomainError:
-            pass
+    doubles = list(dict.fromkeys(float(x) for partition in partitions for x in partition.nodes))
+    node_jets = dict(zip(doubles, jet_provider(expr).many(doubles, args.n - 1)))
 
     def jets(x, order):
-        jet = node_jets.get(key := float(x))
-        if jet is None:
-            jet = node_jets[key] = provider(x, order)
-        return jet
+        return node_jets[float(x)]
 
     values = [float(integrate_composite(jets, args.n, partition)) for partition in partitions]
     orders = observed_orders([abs(value - reference.value) for value in values], counts)

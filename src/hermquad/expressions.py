@@ -761,7 +761,9 @@ def jet_provider(expr: Expr):
     the tuples the adapter gives, bit for bit.  Up to order _BATCH_ORDER it
     runs one walk of the expression for all the points, each coefficient a
     _Points; above it, and if that walk raises, it runs one jet per point,
-    so an error is the one the first failing point raises.
+    so an error is the one the first failing point raises.  ``many`` alone
+    chooses between the two: a caller hands it every point, in the order
+    its errors should take, with no order test or fallback of its own.
     """
 
     def jets(x, m):

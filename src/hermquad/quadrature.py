@@ -66,9 +66,11 @@ class Partition:
         if len(nodes) < 2:
             raise ValueError("a partition needs at least two nodes")
         object.__setattr__(self, "nodes", tuple(map(rational, nodes)))
-        _, ticks = _grid(self.nodes)
+        den, ticks = _grid(self.nodes)
         if not all(t0 < t1 for t0, t1 in zip(ticks, ticks[1:])):
             raise ValueError("partition nodes must be strictly increasing")
+        # integrate_composite reads the grid; not a field, so == and repr ignore it.
+        object.__setattr__(self, "_grid", (den, ticks))
 
     @classmethod
     def uniform(cls, a, b, m: int) -> "Partition":
@@ -179,18 +181,18 @@ def integrate_composite(jets, n: int, partition: Partition):
 
     ``jets`` is called once per node, in node order, with the node's exact
     ``Fraction``, and adjacent panels share the jet at their common node.
-    The nodes are read as integer ticks over their common denominator, and
-    each width is the exact difference of two ticks, so the value depends
-    on the nodes alone.  Consecutive panels of equal width share one rule,
-    and only a new width becomes a ``Fraction``.  When every jet entry is a
-    float, each rule's weights are rounded to doubles once, which is what
-    ``Fraction * float`` would do on every panel; other jets keep the exact
-    weights.
+    The nodes are read as integer ticks over their common denominator, the
+    grid the partition checked its order on, and each width is the exact
+    difference of two ticks, so the value depends on the nodes alone.
+    Consecutive panels of equal width share one rule, and only a new width
+    becomes a ``Fraction``.  When every jet entry is a float, each rule's
+    weights are rounded to doubles once, which is what ``Fraction * float``
+    would do on every panel; other jets keep the exact weights.
     """
     nodes = partition.nodes
     node_jets = [jets(x, n - 1) for x in nodes]
     floats = all(isinstance(v, float) for jet in node_jets for v in jet[:n])
-    den, ticks = _grid(nodes)
+    den, ticks = partition._grid
     width = None
     total = 0
     for t0, t1, left, right in zip(ticks, ticks[1:], node_jets, node_jets[1:]):

@@ -189,14 +189,17 @@ class TestCompositeCommand:
 
     def test_each_distinct_node_jet_is_built_once(self, capsys, monkeypatch):
         # Nodes of m = 1, 2, 4, 3: 2 + 3 + 5 + 4 = 14 in the rows, 7 distinct,
-        # all handed to one batch before the rows run.
-        argv = ("composite", "--n", "3", "--a", "0", "--b", "1", "--fn", "exp(x)",
-                "--m", "1,2,4,3", "--format", "json")
-        want = run(capsys, *argv)
-        batch, single = self.counting_provider(monkeypatch)
-        assert run(capsys, *argv) == want
-        assert len(batch) == len(set(batch)) == 7
-        assert single == []
+        # all handed to one batch before the rows run.  Order 29 is above the
+        # order up to which ``many`` walks the expression once; the call is the same.
+        for n in ("3", "30"):
+            argv = ("composite", "--n", n, "--a", "0", "--b", "1", "--fn", "exp(x)",
+                    "--m", "1,2,4,3", "--format", "json")
+            want = run(capsys, *argv)
+            with monkeypatch.context() as patch:
+                batch, single = self.counting_provider(patch)
+                assert run(capsys, *argv) == want
+            assert len(batch) == len(set(batch)) == 7
+            assert single == []
 
     def test_nodes_that_round_to_one_double_share_one_jet(self, capsys, monkeypatch):
         # The 1 + 2 + 4 panels have 5 distinct rational nodes but 2 distinct doubles,
@@ -216,21 +219,23 @@ class TestCompositeCommand:
         assert single == []
 
     @pytest.mark.parametrize("argv,code,err", [
-        # The batch would meet sqrt at 0 first; row 1 meets the order cap first.
+        # The rule order is checked before any node jet; a jet would meet sqrt at 0.
         (("--n", "70", "--a=-1", "--b=2", "--fn", "sqrt(x^2)", "--m", "1,3"), 1,
          "hermquad: error: rule order 70 exceeds the cap 64\n"),
         (("--n", "3", "--a=-1", "--b=2", "--fn", "sqrt(x^2)", "--m", "1,3"), 2,
          "hermquad: numerical failure: sqrt of a non-positive value in 'sqrt((x ^ 2))'\n"),
         (("--n", "0", "--a", "0", "--b", "1", "--fn", "x", "--m", "1,3"), 1,
-         "hermquad: error: jet order must be a nonnegative integer, got -1\n"),
+         "hermquad: error: rule order must be a positive integer, got 0\n"),
         # One walk over all the nodes fails first at 1/4 (the left term); the
-        # rows meet 1/2 (m = 2) before 1/4 (m = 4).
-        (("--n", "3", "--a", "0", "--b", "1", "--fn", "sqrt((x-0.25)^2)+sqrt((x-0.5)^2)",
-          "--m", "1,2,4"), 2,
-         "hermquad: numerical failure: sqrt of a non-positive value in 'sqrt(((x - 0.5) ^ 2))'\n"),
+        # rows meet 1/2 (m = 2) before 1/4 (m = 4), at either order.
+        *((("--n", n, "--a", "0", "--b", "1", "--fn", "sqrt((x-0.25)^2)+sqrt((x-0.5)^2)",
+            "--m", "1,2,4"), 2,
+           "hermquad: numerical failure: sqrt of a non-positive value in 'sqrt(((x - 0.5) ^ 2))'\n")
+          for n in ("3", "30")),
     ])
     def test_errors_are_the_ones_the_rows_meet_first(self, capsys, argv, code, err):
-        # Each expected error was recorded before node jets were batched.
+        # Each expected error was recorded before node jets were batched, except
+        # --n 0, which now reads as the rule-order error integrate and bounds give.
         assert run(capsys, "composite", *argv) == (code, "", err)
 
     def test_orders_of_counts_that_do_not_double(self, capsys):
@@ -356,6 +361,18 @@ class TestBoundsCommand:
             else:
                 assert doc["bound_uniform"] is None and doc["bound_l2"] is None
                 assert doc[f"error_via_f{2 * n}"] == pytest.approx(-doc["error"], rel=1e-6)
+
+
+@pytest.mark.parametrize("n,err", [
+    ("0", "rule order must be a positive integer, got 0"),
+    ("65", "rule order 65 exceeds the cap 64"),
+    ("200", "rule order 200 exceeds the cap 64"),
+])
+@pytest.mark.parametrize("command", ["integrate", "bounds", "composite"])
+def test_rule_order_errors_are_the_same_in_every_float_command(capsys, command, n, err):
+    extra = ("--m", "1,2") if command == "composite" else ()
+    got = run(capsys, command, "--n", n, "--a", "0", "--b", "1", "--fn", "exp(x)", *extra)
+    assert got == (1, "", f"hermquad: error: {err}\n")
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -96,6 +97,24 @@ class TestPartition:
         den, ticks = quadrature._grid(Partition.uniform("-0.3141", Fraction(math.pi), 7).nodes)
         assert len({t1 - t0 for t0, t1 in zip(ticks, ticks[1:])}) == 1
         assert Fraction(ticks[-1] - ticks[0], den) == Fraction(math.pi) + Fraction("0.3141")
+
+    def test_the_grid_is_built_once_per_partition(self, monkeypatch):
+        # integrate_composite reads the grid the partition checked its nodes
+        # on; it is no field, so equality and repr see the nodes alone.
+        calls = []
+        real = quadrature._grid
+
+        def counted(nodes):
+            calls.append(nodes)
+            return real(nodes)
+
+        monkeypatch.setattr(quadrature, "_grid", counted)
+        part = Partition.uniform(0, 1, 4)
+        integrate_composite(jet_provider(parse("exp(x)")), 3, part)
+        assert calls == [part.nodes]
+        assert [f.name for f in dataclasses.fields(Partition)] == ["nodes"]
+        assert repr(part) == f"Partition(nodes={part.nodes!r})"
+        assert part == Partition(part.nodes) and hash(part) == hash(Partition(part.nodes))
 
     def test_uniform_is_exact(self):
         part = Partition.uniform(0, 1, 3)
