@@ -811,11 +811,18 @@ def evaluator(expr: Expr):
 
 
 def derivative_function(expr: Expr, k: int):
-    """The k-th derivative as a callable, x -> f^(k)(x)."""
+    """The k-th derivative as a callable, x -> f^(k)(x).
+
+    Its attribute ``many`` maps a list of points to the derivatives at
+    each through ``jet_provider(expr).many``: bit for bit the values of
+    the scalar call, and the error the first failing point raises.
+    """
     if k < 0 or k > MAX_JET_ORDER:
         raise ValueError(f"derivative order must be in 0..{MAX_JET_ORDER}")
+    jets = jet_provider(expr).many
 
     def value(x):
         return jet_eval(expr, x, k).derivative(k)
 
+    value.many = lambda xs: [jet[k] for jet in jets(xs, k)]
     return value

@@ -5,9 +5,10 @@ This is deliberately unrelated to the endpoint-derivative rules elsewhere
 in the package: it samples interior nodes only and needs no derivatives,
 so it can serve as an impartial referee for their errors.
 
-Each panel takes its 15 samples from one call: ``f.many(points)`` when the
-integrand has that attribute (as ``expressions.evaluator`` gives it), and
-otherwise f at each point in turn, so any scalar callable works.
+The first panel takes its 15 samples from one call, and a split samples
+both halves, 30 points, in one call: ``f.many(points)`` when the integrand
+has that attribute (as ``expressions.evaluator`` gives it), and otherwise
+f at each point in turn, so any scalar callable works.
 
 Non-finite integrand samples (inf/nan, e.g. at an integrable endpoint or
 interior singularity) taint a panel: tainted panels are forced to split
@@ -111,22 +112,30 @@ _G0, _G1, _G2 = _WG
 _X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK
 
 
-def _panel(f, lo: float, hi: float):
-    """One embedded evaluation: (kronrod, gauss, kronrod of |f|, non-finite samples).
-
-    The 15 points, center first and then each (left, right) pair from the
-    outside in, are sampled in one call of ``f.many`` when f has it, else
-    of f at each point in turn.  The rules are written out term by term:
-    each sum adds from the center term outwards."""
+def _nodes(lo: float, hi: float) -> list:
+    """The 15 Kronrod points of [lo, hi]: the center, then each (left, right)
+    pair from the outside in."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     d0, d1, d2, d3, d4, d5, d6 = (half * _X0, half * _X1, half * _X2, half * _X3,
                                   half * _X4, half * _X5, half * _X6)
-    points = [center, center - d0, center + d0, center - d1, center + d1, center - d2, center + d2,
-              center - d3, center + d3, center - d4, center + d4, center - d5, center + d5,
-              center - d6, center + d6]
+    return [center, center - d0, center + d0, center - d1, center + d1, center - d2, center + d2,
+            center - d3, center + d3, center - d4, center + d4, center - d5, center + d5,
+            center - d6, center + d6]
+
+
+def _sample(f, points: list) -> list:
+    """f at ``points`` in one call of ``f.many`` when f has it, else f at
+    each point in turn."""
     many = getattr(f, "many", None)
-    samples = [float(f(x)) for x in points] if many is None else many(points)
+    return [float(f(x)) for x in points] if many is None else many(points)
+
+
+def _rules(samples, lo: float, hi: float):
+    """(kronrod, gauss, kronrod of |f|, non-finite samples) of one panel's
+    15 samples, in ``_nodes`` order.  The rules are written out term by
+    term: each sum adds from the center term outwards."""
+    half = 0.5 * (hi - lo)
     bad = 0
     if not math.isfinite(sum(samples)):  # a sum that overflows only costs this check
         bad = sum(not math.isfinite(v) for v in samples)
@@ -142,14 +151,28 @@ def _panel(f, lo: float, hi: float):
     return half * kron, half * gauss, half * kron_abs, bad
 
 
+def _panel(f, lo: float, hi: float):
+    """One embedded evaluation of [lo, hi], its 15 samples from one call."""
+    return _rules(_sample(f, _nodes(lo, hi)), lo, hi)
+
+
+def _halves(f, lo: float, mid: float, hi: float):
+    """The embedded evaluations of [lo, mid] and [mid, hi], their 30 samples,
+    left panel first, from one call."""
+    samples = _sample(f, _nodes(lo, mid) + _nodes(mid, hi))
+    return _rules(samples[:_SAMPLES], lo, mid), _rules(samples[_SAMPLES:], mid, hi)
+
+
 def _refine(f, a: float, b: float, tol: float):
     """(value, err, panels) of adaptive bisection over [a, b].
 
     An explicit stack visits the panels depth first, left before right,
-    and sums each split as left + right, so the integrand is always called
-    at one stack depth however deep the bisection goes.  A ``None`` entry
-    marks a split whose two halves are done.  Splitting stops once
-    ``_PANEL_BUDGET`` panels have been evaluated.
+    and sums each split as left + right.  The first panel comes from
+    ``_panel`` and each split from ``_halves``, which samples both halves
+    in one call, so the integrand is always called at one stack depth
+    however deep the bisection goes.  A ``None`` entry marks a split
+    whose two halves are done.  Splitting stops once ``_PANEL_BUDGET``
+    panels have been evaluated.
     """
     panel = _panel(f, a, b)
     todo = [(a, b, panel, tol * max(1.0, abs(panel[0])), 0)]
@@ -180,7 +203,7 @@ def _refine(f, a: float, b: float, tol: float):
             done.append((kron, err, 1))
             continue
         mid = 0.5 * (lo + hi)
-        left, right = _panel(f, lo, mid), _panel(f, mid, hi)
+        left, right = _halves(f, lo, mid, hi)
         evaluated += 2
         budget *= 0.5
         todo += [None, (mid, hi, right, budget, depth + 1), (lo, mid, left, budget, depth + 1)]

@@ -216,12 +216,31 @@ def error_exact(
     integrations by parts leave no boundary terms.  Raises
     :class:`~hermquad.oracle.ConvergenceError` if the reference integrator
     cannot meet its tolerance.
+
+    When ``f_n`` has a ``many`` attribute (as ``derivative_function``
+    gives it), the integrand has one too, so the reference samples f^(n+k)
+    a batch of points at a time.  Each value is the scalar integrand's,
+    sign * f^(n+k)(x) * K^(k)(x); when the batch raises a domain error,
+    the points run one at a time, so the error is the one the scalar
+    integrand raises.
     """
     sign = -1.0 if (kernel.n + k) % 2 else 1.0
     kern = kernel.member(k)
-    result = reference_integrate(
-        lambda x: sign * f_n(x) * kern(x), float(kernel.a), float(kernel.b), cfg
-    )
+
+    def integrand(x):
+        return sign * f_n(x) * kern(x)
+
+    many = getattr(f_n, "many", None)
+    if many is not None:
+        def batch(xs):
+            try:
+                values = many(xs)
+            except ValueError:  # a domain error; K^(k) may fail before its point does
+                return [integrand(x) for x in xs]
+            return [sign * v * kern(x) for v, x in zip(values, xs)]
+
+        integrand.many = batch
+    result = reference_integrate(integrand, float(kernel.a), float(kernel.b), cfg)
     if not result.converged:
         raise ConvergenceError("error integral did not converge", result)
     return result.value
@@ -306,19 +325,28 @@ def e2_classical_f4(f4, a, b, cfg: OracleConfig | None = None) -> float:
 
 
 def sample_uniform(f, a, b, count: int = 257) -> list:
-    """f on a uniform grid over [a, b], endpoints included."""
+    """f on a uniform grid over [a, b], endpoints included.
+
+    The grid is built first and sampled in one call of ``f.many`` when f
+    has it (as ``derivative_function`` gives it), else f at each point in
+    turn; either way the values, and the error of the first failing point,
+    are the same.
+    """
     if count < 2:
         raise ValueError("need at least two sample points")
     a = float(a)
     b = float(b)
     step = (b - a) / (count - 1)
-    return [f(a + i * step) for i in range(count)]
+    points = [a + i * step for i in range(count)]
+    many = getattr(f, "many", None)
+    return [f(x) for x in points] if many is None else many(points)
 
 
 def refined_bounds(f_deriv, kernel: KernelSet, count: int = 257, k: int = 0):
     """Midrange/mean bounds on f^(n+k) with one sampling refinement pass.
 
-    Samples f once on 2*count - 1 points, whose even points form the
+    Samples f once on 2*count - 1 points, one batch through
+    ``sample_uniform`` when f has ``many``, whose even points form the
     ``count``-point grid, and takes both grids' bounds from ``bound_uniform``
     and ``bound_l2``.  The result is stable when neither bound moved by
     more than 1%.  Returns (uniform, l2, stable) of the finer grid.  Needs

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from hermquad import cli, expressions
 from hermquad.expressions import (
-    FUNCTIONS, BinOp, Call, EvalDomainError, Neg, Num, Pi, Var, evaluator, jet_eval, jet_provider,
-    parse,
+    FUNCTIONS, BinOp, Call, EvalDomainError, Neg, Num, Pi, Var, derivative_function, evaluator,
+    jet_eval, jet_provider, parse,
 )
 from hermquad.oracle import reference_integrate
 
@@ -368,7 +368,8 @@ class TestBatchForm:
         assert code == 0
         (result,) = results
         assert result.panels > 1
-        assert batch_sizes == [15] * result.panels
+        # The first panel samples its 15 points, and each split both halves' 30.
+        assert batch_sizes == [15] + [30] * ((result.panels - 1) // 2)
         assert scalar_calls == []
 
     @pytest.mark.parametrize("text", ["sqrt(x)", "sin(1/x)", "exp(-100*(x-0.3)^2) + x^3"])
@@ -412,6 +413,18 @@ class TestBatchJets:
     def test_a_batch_equals_its_points_jets(self, text, xs, m):
         expr = parse(text)
         assert jets_in_one_batch(expr, xs, m) == jets_one_at_a_time(expr, xs, m)
+
+    # Orders run past the batch order here too.
+    @settings(max_examples=200, deadline=None)
+    @given(TREES, st.lists(POINTS | st.floats(), min_size=1, max_size=40), st.integers(0, 30))
+    def test_a_derivative_batch_equals_its_scalar_calls(self, text, xs, k):
+        f = derivative_function(parse(text), k)
+        assert outcome(lambda: f.many(xs)) == outcome(lambda: [f(x) for x in xs])
+
+    def test_a_failing_derivative_batch_raises_the_first_failing_points_error(self):
+        f = derivative_function(parse("sqrt(x) + log(x - 1)"), 2)
+        want = ("EvalDomainError", "log of a non-positive value in 'log((x - 1))'")
+        assert outcome(lambda: f.many([0.5, -1.0])) == outcome(lambda: [f(0.5)]) == want
 
     @pytest.mark.parametrize("m", [0, 1, 7, expressions._BATCH_ORDER, expressions._BATCH_ORDER + 1])
     def test_one_walk_up_to_the_batch_order(self, monkeypatch, m):

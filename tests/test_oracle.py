@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hermquad import oracle
 from hermquad.exactmath import Polynomial
+from hermquad.expressions import EvalDomainError, evaluator, parse
 from hermquad.oracle import OracleConfig, _panel, reference_integrate
 
 from conftest import coeff_lists, intervals
@@ -255,3 +256,41 @@ class TestPanelOrder:
         assert [v.hex() for v in scalar[:3]] + [scalar[3]] == hexed
         assert [v.hex() for v in batched[:3]] + [batched[3]] == hexed
         assert got_points == want_points and batches == [want_points]
+
+
+def outcome(integrate):
+    try:
+        return integrate()
+    except EvalDomainError as exc:
+        return "EvalDomainError", str(exc)
+
+
+class TestSiblingBatch:
+    """A split samples both halves in one ``many`` call, and the result is
+    the one an integrand without ``many`` gets one point at a time."""
+
+    @pytest.mark.parametrize("text, a, b, panels", [
+        ("sin(1/x)", 1e-6, 1.0, oracle._PANEL_BUDGET + 1),  # spends the panel budget
+        ("sqrt(1e308*x*4)", 0.0, 1.0, 189),  # inf right of 0.45: tainted panels
+        ("1e308*x", 0.0, 4.0, 3),  # finite samples whose rule sums overflow
+    ])
+    def test_results_are_the_same_with_and_without_many(self, text, a, b, panels):
+        f = evaluator(parse(text))
+        batched = reference_integrate(f, a, b)
+        assert batched == reference_integrate(lambda x: f(x), a, b)
+        assert batched.panels == panels and not batched.converged
+
+    @pytest.mark.parametrize("text, message", [
+        # Only the right half of the first split samples 0.75.
+        ("log((x-0.75)^2)", "log of a non-positive value in 'log(((x - 0.75) ^ 2))'"),
+        # Both halves fail; the walk meets the right half's log first, and
+        # the left half's center, the first failing point, names the sqrt.
+        ("log((x-0.75)^2) + sqrt((x-0.25)^2)",
+         "sqrt of a non-positive value in 'sqrt(((x - 0.25) ^ 2))'"),
+    ])
+    def test_a_failing_split_raises_the_first_failing_points_error(self, text, message):
+        f = evaluator(parse(text))
+        assert _panel(f, 0.0, 1.0)[3] == 0  # the first panel samples neither point
+        want = ("EvalDomainError", message)
+        assert outcome(lambda: reference_integrate(f, 0.0, 1.0)) == want
+        assert outcome(lambda: reference_integrate(lambda x: f(x), 0.0, 1.0)) == want

@@ -6,7 +6,7 @@ import pytest
 
 from hermquad import kernel, quadrature
 from hermquad.exactmath import Polynomial, X
-from hermquad.expressions import derivative_function, evaluator, jet_provider, parse
+from hermquad.expressions import EvalDomainError, derivative_function, evaluator, jet_provider, parse
 from hermquad.kernel import kernel_set
 from hermquad.oracle import OracleConfig, reference_integrate
 from hermquad.quadrature import (
@@ -501,6 +501,81 @@ class TestErrorEngine:
         pairs = [(bound_uniform(s, ks, k=1), bound_l2(s, ks, k=1)) for s in (coarse, fine)]
         moved = any(abs(new - old) > 0.01 * abs(new) for old, new in zip(*pairs))
         assert refined_bounds(f, ks, count, k=1) == (*pairs[1], not moved)
+
+
+def spied(f, calls):
+    """f with its ``many``, each call of either recorded in ``calls``."""
+
+    def value(x):
+        calls.append(("scalar", x))
+        return f(x)
+
+    def many(xs):
+        calls.append(("many", len(xs)))
+        return f.many(xs)
+
+    value.many = many
+    return value
+
+
+def hexed(values):
+    return [v.hex() for v in values]
+
+
+class TestBatchSampling:
+    """Bounds and the order-2n error sample f^(n+k) through ``many``, bit for bit."""
+
+    @pytest.mark.parametrize("text, k", [("exp(x)*sin(3*x)", 3), ("1/(1+25*x^2)", 24),
+                                         ("sqrt(2+x)", 0), ("x^7 - 2*x^3", 9)])
+    @pytest.mark.parametrize("a, b, count", [(0, Fraction(math.pi), 513), (Fraction(-1, 2), 1, 5),
+                                             ("-0.3141", "1.4142", 257)])
+    def test_sample_uniform_is_the_same_with_and_without_many(self, text, k, a, b, count):
+        f = derivative_function(parse(text), k)
+        want = sample_uniform(lambda x: f(x), a, b, count)
+        assert hexed(sample_uniform(f, a, b, count)) == hexed(want)
+
+    def test_sample_uniform_raises_the_first_failing_points_error(self):
+        # The walk meets sqrt first, which fails at 2; the first point, 0, fails in log.
+        f = derivative_function(parse("sqrt(1 - x) + log(x - 0.25)"), 3)
+        for g in (f, lambda x: f(x)):
+            with pytest.raises(EvalDomainError, match="log of a non-positive value"):
+                sample_uniform(g, 0, 2, 3)
+
+    @pytest.mark.parametrize("count", [33, 257])
+    def test_refined_bounds_sample_a_derivative_in_one_batch(self, count):
+        f = derivative_function(parse("exp(x)*sin(3*x)"), 4)
+        ks = kernel_set(3, 0, 1)
+        calls = []
+        got = refined_bounds(spied(f, calls), ks, count, k=1)
+        assert calls == [("many", 2 * count - 1)]
+        assert got == refined_bounds(lambda x: f(x), ks, count, k=1)
+
+    @pytest.mark.parametrize("text", CORPUS + ("sqrt(2+x)",))
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    def test_error_exact_is_the_same_with_and_without_many(self, text, n):
+        f = derivative_function(parse(text), 2 * n)
+        ks = kernel_set(n, Fraction(-1, 2), 1)
+        calls = []
+        got = error_exact(spied(f, calls), ks, TIGHT, k=n)
+        assert got.hex() == error_exact(lambda x: f(x), ks, TIGHT, k=n).hex()
+        assert calls and all(kind == "many" for kind, _ in calls)
+
+    def test_error_exact_raises_what_the_scalar_integrand_raises(self):
+        # K^(1) = (x^2 - h^2) / 2 of n = 1 on [-h, h] with h = 2e154 has a
+        # constant beyond the double range, so its first evaluation raises.
+        # f^(2) fails only right of the center, the first sample: point by
+        # point the kernel's error comes first.
+        ks = kernel_set(1, -Fraction(2e154), Fraction(2e154))
+
+        def f2(x):
+            if x > 0.0:
+                raise EvalDomainError("right of the center", parse("x"))
+            return 1.0
+
+        f2.many = lambda xs: [f2(x) for x in xs]
+        for f in (f2, lambda x: f2(x)):
+            with pytest.raises(OverflowError):
+                error_exact(f, ks, k=1)
 
 
 class TestE2SpecificBounds:
