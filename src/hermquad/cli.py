@@ -223,17 +223,16 @@ def _cmd_composite(args) -> int:
     reference = _converged_reference(expr, a, b, cfg)
     # Rows share nodes (m and 2m panels share m + 1), and a jet reads its
     # node only as a double, so one ``many`` call builds the jet of each
-    # distinct double.  The doubles are listed in the order the rows first
-    # meet them, so the error ``many`` raises, its first failing point's, is
-    # the one the rows would meet first.
+    # distinct double; node t / den is float(Fraction(t, den)), since
+    # int / int rounds correctly.  The doubles are listed in the order the
+    # rows first meet them, so the error ``many`` raises, its first failing
+    # point's, is the one the rows would meet first.
     partitions = [Partition.uniform(a, b, m) for m in counts]
-    doubles = list(dict.fromkeys(float(x) for partition in partitions for x in partition.nodes))
-    node_jets = dict(zip(doubles, jet_provider(expr).many(doubles, args.n - 1)))
-
-    def jets(x, order):
-        return node_jets[float(x)]
-
-    values = [float(integrate_composite(jets, args.n, partition)) for partition in partitions]
+    rows = [[t / partition.den for t in partition.ticks] for partition in partitions]
+    doubles = list(dict.fromkeys(x for row in rows for x in row))
+    jet_of = dict(zip(doubles, jet_provider(expr).many(doubles, args.n - 1)))
+    values = [float(integrate_composite([jet_of[x] for x in row], args.n, partition))
+              for row, partition in zip(rows, partitions)]
     orders = observed_orders([abs(value - reference.value) for value in values], counts)
     reports = [
         ErrorReport(

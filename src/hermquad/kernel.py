@@ -147,6 +147,13 @@ class KernelSet:
         unit = _unit_chain(self.n)[k]
         return unit.compose_affine(-self.a / h, 1 / h) * h ** (self.n + k)
 
+    def float_member(self, k: int) -> Polynomial:
+        """``member(k)`` with its coefficients rounded to doubles, as float evaluation needs."""
+        kern = self.member(k)
+        # A polynomial rounds its coefficients on its first float evaluation and keeps them.
+        self._in_double_range(f"a coefficient of K^({k})", kern, 0.0)
+        return kern
+
     def l2sq(self, k: int = 0) -> Fraction:
         """Exact integral of (K^(k))^2 over [a, b]: h^(2n+2k+1) L(n, k)."""
         self._check_index(k)
@@ -155,7 +162,17 @@ class KernelSet:
     def abs_integral(self, k: int = 0) -> float:
         """Integral of |K^(k)| over [a, b]: h^(n+k+1) C(n, k), rounded once."""
         self._check_index(k)
-        return float(_unit_abs_integral(self.n, k) * self.h ** (self.n + k + 1))
+        value = _unit_abs_integral(self.n, k) * self.h ** (self.n + k + 1)
+        return self._in_double_range(f"integral(|K^({k})|)", float, value)
+
+    def _in_double_range(self, what: str, rounding, *args):
+        """``rounding(*args)``, which rounds a kernel quantity to doubles; an
+        OverflowError naming the quantity and the interval when it cannot."""
+        try:
+            return rounding(*args)
+        except OverflowError:
+            raise OverflowError(f"{what} of the order-{self.n} kernel on [{float(self.a):.15g}, "
+                                f"{float(self.b):.15g}] lies beyond the double range") from None
 
     def to_json_dict(self) -> dict:
         kernel = self.kernel

@@ -1,8 +1,11 @@
 """Single-interval and composite quadrature, exact error, and error bounds.
 
-Jet providers feed the rules: a provider is a callable ``(x, m) ->
-sequence of f, f', ..., f^(m) at x``.  With rational nodes and rational
-jets everything stays exact; float inputs flow through as floats.
+Jets feed the rules: a jet at x is the sequence f, f', ..., f^(m) there.
+``integrate_single`` asks a provider, a callable ``(x, m) -> jet``, for
+the jets at its two endpoints; ``integrate_composite`` takes the jets at
+the nodes of its partition, whose nodes are integer ticks over one
+denominator.  With rational jets everything stays exact; float jets flow
+through as floats.
 
 The error of the order-n rule is E_n = integral((-1)^n f^(n) K_n), which
 needs only the n-th derivative of the integrand.  Each member K^(k) of the
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 from .exactmath import rational
 from .kernel import KernelSet, kernel_set
@@ -30,7 +33,6 @@ from .weights import apply_rule, compute_weights
 __all__ = [
     "Partition",
     "ErrorReport",
-    "BoundPair",
     "integrate_single",
     "integrate_composite",
     "error_exact",
@@ -44,47 +46,56 @@ __all__ = [
 ]
 
 
-def _grid(nodes) -> tuple:
-    """(den, ticks): exact nodes on one integer grid, node i = ticks[i] / den."""
-    den = math.lcm(*(x.denominator for x in nodes))
-    return den, [x.numerator * (den // x.denominator) for x in nodes]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Partition:
-    """Nodes x_0 < ... < x_m covering [x_0, x_m]; a partition is its exact nodes.
+    """Nodes x_0 < ... < x_m covering [x_0, x_m]; a partition is its integer grid.
 
-    A node may be given as anything ``rational`` reads (int, Fraction, finite
-    float or a decimal or "p/q" string); ``nodes`` holds the exact
-    ``Fraction`` values, so two partitions are equal when their nodes are.
+    Node i is ``ticks[i] / den``, where ``den`` is the least common
+    denominator of the nodes, so two partitions are equal when their nodes
+    are.  ``Partition(nodes)`` reads each node as ``rational`` does (int,
+    Fraction, finite float or a decimal or "p/q" string), and ``nodes``
+    rebuilds the exact ``Fraction`` values on demand.
     """
 
-    nodes: tuple
+    den: int
+    ticks: tuple
 
-    def __post_init__(self):
-        nodes = tuple(self.nodes)
-        if len(nodes) < 2:
+    def __init__(self, nodes):
+        nodes = [rational(x) for x in nodes]
+        den = math.lcm(*(x.denominator for x in nodes))
+        self._set(den, tuple(x.numerator * (den // x.denominator) for x in nodes))
+
+    def _set(self, den: int, ticks: tuple) -> "Partition":
+        """Check the ticks and store the grid; the one place a partition is filled in."""
+        if len(ticks) < 2:
             raise ValueError("a partition needs at least two nodes")
-        object.__setattr__(self, "nodes", tuple(map(rational, nodes)))
-        den, ticks = _grid(self.nodes)
         if not all(t0 < t1 for t0, t1 in zip(ticks, ticks[1:])):
             raise ValueError("partition nodes must be strictly increasing")
-        # integrate_composite reads the grid; not a field, so == and repr ignore it.
-        object.__setattr__(self, "_grid", (den, ticks))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ticks", ticks)
+        return self
+
+    @property
+    def nodes(self) -> tuple:
+        """The exact nodes, ``Fraction(t, den)`` for each tick."""
+        return tuple(Fraction(t, self.den) for t in self.ticks)
 
     @classmethod
     def uniform(cls, a, b, m: int) -> "Partition":
         """m equal subintervals with exact rational nodes a + k*(b-a)/m.
 
-        With a = p/q and b = r/s, node k is (p*s*m + k*(r*q - p*s)) / (q*s*m):
-        one integer grid, one ``Fraction(int, int)`` per node, and node m is b.
+        With a = p/q and b = r/s, node k is (p*s*m + k*(r*q - p*s)) / (q*s*m),
+        an arithmetic progression of integer ticks; dividing out the common
+        factor of the first tick, the step and q*s*m makes ``den`` the least
+        common denominator.  No node becomes a ``Fraction``, and node m is b.
         """
         if m < 1:
             raise ValueError("subinterval count must be >= 1")
         p, q = rational(a).as_integer_ratio()
         r, s = rational(b).as_integer_ratio()
         start, span, den = p * s * m, r * q - p * s, q * s * m
-        return cls(tuple(Fraction(start + k * span, den) for k in range(m + 1)))
+        g = math.gcd(start, span, den)
+        return cls.__new__(cls)._set(den // g, tuple((start + k * span) // g for k in range(m + 1)))
 
 
 @dataclass(frozen=True)
@@ -159,11 +170,6 @@ class ErrorReport:
         return doc
 
 
-class BoundPair(NamedTuple):
-    uniform: float
-    l2: float
-
-
 def integrate_single(jets, n: int, a, b):
     """Apply the order-n rule on [a, b] using jets from ``jets(x, n-1)``."""
     rule = compute_weights(n, a, b)
@@ -172,27 +178,26 @@ def integrate_single(jets, n: int, a, b):
     return apply_rule(rule, jet_a, jet_b)
 
 
-def integrate_composite(jets, n: int, partition: Partition):
-    """Composite order-n rule over a partition.
+def integrate_composite(node_jets, n: int, partition: Partition):
+    """Composite order-n rule over a partition, from the jets at its nodes.
 
-    A panel [x_i, x_{i+1}] of width h adds, with w_a from ``compute_weights(n, 0, h)``,
+    ``node_jets[i]`` holds f, f', ..., f^(n-1) at node i; adjacent panels
+    share the jet at their common node.  A panel [x_i, x_{i+1}] of width h
+    adds, with w_a from ``compute_weights(n, 0, h)``,
 
         sum_j w_a[j] * (f^(j)(x_i) + (-1)^j f^(j)(x_{i+1})).
 
-    ``jets`` is called once per node, in node order, with the node's exact
-    ``Fraction``, and adjacent panels share the jet at their common node.
-    The nodes are read as integer ticks over their common denominator, the
-    grid the partition checked its order on, and each width is the exact
-    difference of two ticks, so the value depends on the nodes alone.
-    Consecutive panels of equal width share one rule, and only a new width
-    becomes a ``Fraction``.  When every jet entry is a float, each rule's
-    weights are rounded to doubles once, which is what ``Fraction * float``
-    would do on every panel; other jets keep the exact weights.
+    Each width is the exact difference of two ticks over ``den``, so the
+    value depends on the nodes alone.  Consecutive panels of equal width
+    share one rule, and only a new width becomes a ``Fraction``.  When
+    every jet entry is a float, each rule's weights are rounded to doubles
+    once, which is what ``Fraction * float`` would do on every panel; other
+    jets keep the exact weights.
     """
-    nodes = partition.nodes
-    node_jets = [jets(x, n - 1) for x in nodes]
+    den, ticks = partition.den, partition.ticks
+    if len(node_jets) != len(ticks):
+        raise ValueError(f"{len(node_jets)} node jets for a partition of {len(ticks)} nodes")
     floats = all(isinstance(v, float) for jet in node_jets for v in jet[:n])
-    den, ticks = partition._grid
     width = None
     total = 0
     for t0, t1, left, right in zip(ticks, ticks[1:], node_jets, node_jets[1:]):
@@ -225,7 +230,7 @@ def error_exact(
     integrand raises.
     """
     sign = -1.0 if (kernel.n + k) % 2 else 1.0
-    kern = kernel.member(k)
+    kern = kernel.float_member(k)
 
     def integrand(x):
         return sign * f_n(x) * kern(x)
@@ -303,16 +308,14 @@ def _sqrt(q) -> float:
     return math.ldexp(math.sqrt(float(q / 4 ** e if e >= 0 else q * 4 ** -e)), e)
 
 
-def e2_bound_f3(f3_samples, kernel: KernelSet) -> BoundPair:
-    """Third-derivative bounds for the n = 2 rule: the k = 1 bounds.
+def e2_bound_f3(f3_samples, kernel: KernelSet) -> tuple:
+    """Third-derivative bounds for the n = 2 rule: the k = 1 (uniform, l2) pair.
 
     For G = K^(1), integral(|G|) = (b-a)^4/192 and ||G||_2^2 = (b-a)^7/30240.
     """
     if kernel.n != 2:
         raise ValueError("third-derivative bounds apply to the order-2 rule only")
-    return BoundPair(
-        bound_uniform(f3_samples, kernel, k=1), bound_l2(f3_samples, kernel, k=1)
-    )
+    return bound_uniform(f3_samples, kernel, k=1), bound_l2(f3_samples, kernel, k=1)
 
 
 def e2_classical_f4(f4, a, b, cfg: OracleConfig | None = None) -> float:
@@ -353,15 +356,9 @@ def refined_bounds(f_deriv, kernel: KernelSet, count: int = 257, k: int = 0):
     0 <= k <= n-1, as ``bound_uniform`` explains.
     """
     fine = sample_uniform(f_deriv, kernel.a, kernel.b, 2 * count - 1)
-    coarse_pair, fine_pair = (
-        BoundPair(bound_uniform(s, kernel, k=k), bound_l2(s, kernel, k))
-        for s in (fine[::2], fine)
-    )
-    stable = all(
-        abs(f - c) <= 0.01 * max(abs(f), 1e-300)
-        for c, f in zip(coarse_pair, fine_pair)
-    )
-    return fine_pair.uniform, fine_pair.l2, stable
+    pairs = [(bound_uniform(s, kernel, k=k), bound_l2(s, kernel, k)) for s in (fine[::2], fine)]
+    stable = all(abs(f - c) <= 0.01 * max(abs(f), 1e-300) for c, f in zip(*pairs))
+    return (*pairs[1], stable)
 
 
 def observed_orders(errors, counts) -> list:

@@ -4,15 +4,17 @@ import json
 import math
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hermquad import cli, kernel, verify
+from hermquad import cli, kernel, quadrature, verify
 from hermquad.cli import main
 from hermquad.exactmath import parse_rational
 from hermquad.expressions import MAX_CONSTANT_BITS, MAX_LITERAL_DIGITS, MAX_NESTING
 from hermquad.oracle import reference_integrate
+from hermquad.quadrature import Partition
 from hermquad.weights import apply_rule, compute_weights
 
 
@@ -248,20 +250,51 @@ class TestCompositeCommand:
         assert all(3.9 <= order <= 4.1 for order in orders[1:])
         assert [round(orders[3], 3), round(orders[5], 3)] == [3.996, 3.998]
 
-    def test_node_jets_follow_their_node_whatever_the_call_order(self, capsys, monkeypatch):
-        # The memo key comes from the node asked for, not from how many were asked before.
-        composite = cli.integrate_composite
+    def test_each_row_is_the_same_whatever_the_row_order(self, capsys):
+        # A row's value and error depend on its m alone; its observed order
+        # compares it with the row before it, so that column differs.
+        def rows(m):
+            code, out, err = run(capsys, "composite", "--n", "3", "--a=-0.3141", "--b", "pi",
+                                 "--fn", "exp(0.5*x)*cos(2*x)", "--m", m, "--format", "json")
+            assert (code, err) == (0, "")
+            return {row["m"]: row for row in json.loads(out)["rows"]}
 
-        def reversed_twice(jets, n, partition):
-            for x in partition.nodes[::-1]:
-                jets(x, n - 1)
-            return composite(jets, n, partition)
+        shuffled, ordered = rows("4,1,2"), rows("1,2,4")
+        assert sorted(shuffled) == sorted(ordered) == [1, 2, 4]
+        for m in (1, 2, 4):
+            for column in ("h", "quadrature", "reference", "error"):
+                assert shuffled[m][column] == ordered[m][column]
+        assert shuffled[4]["observed_order"] is None is ordered[1]["observed_order"]
+        assert shuffled[2]["observed_order"] == ordered[2]["observed_order"]
+        assert shuffled[1]["observed_order"] != ordered[4]["observed_order"]
 
-        argv = ("composite", "--n", "3", "--a", "0", "--b", "1", "--fn", "exp(x)",
-                "--m", "1,2,4,3", "--format", "json")
+    def test_nodes_never_become_fractions(self, capsys, monkeypatch):
+        # A table reads its nodes as ticks over one denominator: the only
+        # Fraction the composite path builds is each row's panel width.
+        built, rounded = [], []
+        real = quadrature.Fraction
+        to_float = Fraction.__float__
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        def counted_float(self):
+            rounded.append(self)
+            return to_float(self)
+
+        counts = [2 ** i for i in range(11)]
+        argv = ("composite", "--n", "4", "--a=-0.3141", "--b", "pi", "--fn", "exp(0.5*x)*cos(2*x)",
+                "--m", ",".join(map(str, counts)), "--format", "csv")
         want = run(capsys, *argv)
-        monkeypatch.setattr(cli, "integrate_composite", reversed_twice)
+        monkeypatch.setattr(quadrature, "Fraction", counted)
+        monkeypatch.setattr(Fraction, "__float__", counted_float)
         assert run(capsys, *argv) == want
+        partitions = [Partition.uniform("-0.3141", math.pi, m) for m in counts]
+        assert built == [(p.ticks[1] - p.ticks[0], p.den) for p in partitions]
+        # Per row, the 4 weights and h; then the endpoints and the integrand's
+        # constants: a few dozen roundings against 2058 nodes.
+        assert len(rounded) <= 5 * len(counts) + 6
 
     @pytest.mark.parametrize("m", ["100000000", "65536,1"])
     def test_panel_total_above_the_cap_exits_1_at_once(self, capsys, monkeypatch, m):
@@ -331,6 +364,19 @@ class TestBoundsCommand:
         assert doc["bound_l2"] == pytest.approx(9.231144198690197e67, rel=1e-12)
         assert abs(doc["error"]) <= doc["bound_uniform"]
         assert abs(doc["error"]) <= doc["bound_l2"]
+
+    @pytest.mark.parametrize("extra,what", [
+        ((), "integral(|K^(0)|)"),
+        (("--bound-order", "2"), "a coefficient of K^(1)"),
+    ])
+    def test_kernel_constant_beyond_the_double_range_is_named(self, capsys, extra, what):
+        # h^2 / 4 = 4e308 and the constant -h^2 / 8 = -2e308 of K^(1) overflow
+        # in their rounding to doubles, although the integrand is 0.
+        code, out, err = run(capsys, "bounds", "--n", "1", "--a=-2e154", "--b=2e154",
+                             "--fn", "0*x", *extra)
+        assert (code, out) == (2, "")
+        assert err == (f"hermquad: numerical failure: {what} of the order-1 kernel on "
+                       "[-2e+154, 2e+154] lies beyond the double range\n")
 
     def test_bad_bound_order_exits_1(self, capsys):
         for order in ("2", "7"):

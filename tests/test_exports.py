@@ -79,6 +79,9 @@ def test_runtime_imports_only_the_standard_library():
     (Partition.uniform(0, 1, 2), "step"),
     (HermiteRule, "from_json_dict"),
     (importlib.import_module("hermquad.cli"), "_UsageError"),
+    (importlib.import_module("hermquad.quadrature"), "_grid"),
+    (importlib.import_module("hermquad.quadrature"), "BoundPair"),
+    (hermquad, "BoundPair"),
 ])
 def test_removed_names_are_absent(owner, name):
     assert not hasattr(owner, name)

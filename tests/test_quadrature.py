@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermquad import kernel, quadrature
 from hermquad.exactmath import Polynomial, X
@@ -30,6 +32,11 @@ from conftest import monomial_jets
 TIGHT = OracleConfig(tol=1e-13)
 
 CORPUS = ("exp(x)", "sin(x)", "x^2*sin(x)", "1/(1+x^2)")
+
+
+def composite(jets, n, partition):
+    """integrate_composite on the jets a provider gives at the partition's nodes."""
+    return integrate_composite([jets(x, n - 1) for x in partition.nodes], n, partition)
 
 
 def poly_jets(p):
@@ -60,6 +67,15 @@ def make_kink(c):
     return f, fprime
 
 
+#: Endpoints as the CLI reads them: fractions, decimals, doubles and pi's 2^-51 denominator.
+ENDPOINTS = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=10 ** 6),
+    st.decimals(min_value=-100, max_value=100, places=6).map(Fraction),
+    st.floats(min_value=-1e6, max_value=1e6).map(Fraction),
+    st.sampled_from([Fraction(math.pi), -Fraction(math.pi), Fraction("-0.3141")]),
+)
+
+
 class TestPartition:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -81,11 +97,14 @@ class TestPartition:
             with pytest.raises(ValueError, match="strictly increasing"):
                 Partition.uniform(a, b, 4)
 
-    def test_nodes_are_checked_on_one_integer_grid(self):
-        # Node i is ticks[i] / den over the nodes' common denominator; the
-        # order is checked on the ticks: 1/3 < 1/2 is 2 < 3 in sixths.
-        assert quadrature._grid(Partition(("0", "1/3", "1/2")).nodes) == (6, [0, 2, 3])
-        assert quadrature._grid(tuple(map(Fraction, ("0", "10", "9")))) == (1, [0, 10, 9])
+    def test_a_partition_is_its_integer_grid(self):
+        # Node i is ticks[i] / den over the nodes' least common denominator;
+        # the order is checked on the ticks: 1/3 < 1/2 is 2 < 3 in sixths.
+        part = Partition(("0", "1/3", "1/2"))
+        assert [f.name for f in dataclasses.fields(Partition)] == ["den", "ticks"]
+        assert (part.den, part.ticks) == (6, (0, 2, 3))
+        assert repr(part) == "Partition(den=6, ticks=(0, 2, 3))"
+        assert Partition((Fraction(-7, 2), 0.25, 5)).ticks == (-14, 1, 20)
         with pytest.raises(ValueError, match="strictly increasing"):
             Partition(("0", "10", "9"))
         # Neighbours 1/300000 apart, over denominators 3 and 100000.
@@ -94,27 +113,25 @@ class TestPartition:
             with pytest.raises(ValueError, match="strictly increasing"):
                 Partition(nodes)
         # The nodes of a uniform partition are equally spaced ticks.
-        den, ticks = quadrature._grid(Partition.uniform("-0.3141", Fraction(math.pi), 7).nodes)
-        assert len({t1 - t0 for t0, t1 in zip(ticks, ticks[1:])}) == 1
-        assert Fraction(ticks[-1] - ticks[0], den) == Fraction(math.pi) + Fraction("0.3141")
+        part = Partition.uniform("-0.3141", Fraction(math.pi), 7)
+        assert len({t1 - t0 for t0, t1 in zip(part.ticks, part.ticks[1:])}) == 1
+        assert Fraction(part.ticks[-1] - part.ticks[0], part.den) == (
+            Fraction(math.pi) + Fraction("0.3141"))
 
-    def test_the_grid_is_built_once_per_partition(self, monkeypatch):
-        # integrate_composite reads the grid the partition checked its nodes
-        # on; it is no field, so equality and repr see the nodes alone.
-        calls = []
-        real = quadrature._grid
-
-        def counted(nodes):
-            calls.append(nodes)
-            return real(nodes)
-
-        monkeypatch.setattr(quadrature, "_grid", counted)
-        part = Partition.uniform(0, 1, 4)
-        integrate_composite(jet_provider(parse("exp(x)")), 3, part)
-        assert calls == [part.nodes]
-        assert [f.name for f in dataclasses.fields(Partition)] == ["nodes"]
-        assert repr(part) == f"Partition(nodes={part.nodes!r})"
-        assert part == Partition(part.nodes) and hash(part) == hash(Partition(part.nodes))
+    @pytest.mark.parametrize("nodes,uniform", [
+        (("0", "2/4", "1"), (0, 1, 2)),
+        ((0, Fraction(1, 3), Fraction(2, 3), 1), (0, 1, 3)),
+        (("1/6", "1/3", "1/2"), ("1/6", "1/2", 2)),
+        ((-1.5, "-0.5", 0.5, "3/2"), (-1.5, 1.5, 3)),
+        ((Fraction(2, 3), 2), (Fraction(2, 3), 2, 1)),
+    ])
+    def test_the_grid_is_canonical(self, nodes, uniform):
+        # den is the least common denominator, however the nodes were given,
+        # so equal nodes give equal partitions, hashes and reprs.
+        part, built = Partition(nodes), Partition.uniform(*uniform)
+        assert part == built and hash(part) == hash(built) and repr(part) == repr(built)
+        assert part.den == math.lcm(*(x.denominator for x in part.nodes))
+        assert part == Partition(part.nodes)
 
     def test_uniform_is_exact(self):
         part = Partition.uniform(0, 1, 3)
@@ -129,6 +146,19 @@ class TestPartition:
                 assert nodes == tuple(a + k * (b - a) / m for k in range(m + 1))
                 assert all(type(x) is Fraction for x in nodes)
                 assert nodes[-1] == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(ENDPOINTS, ENDPOINTS, st.integers(min_value=1, max_value=1024))
+    @example(Fraction("-0.3141"), Fraction(math.pi), 1024)
+    def test_uniform_nodes_and_their_doubles(self, a, b, m):
+        a, b = min(a, b), max(a, b)
+        if a == b:
+            b += 1
+        part = Partition.uniform(a, b, m)
+        nodes = part.nodes
+        assert nodes == tuple(a + k * (b - a) / m for k in range(m + 1))
+        assert part.den == math.lcm(*(x.denominator for x in nodes))
+        assert [t / part.den for t in part.ticks] == [float(x) for x in nodes]
 
 
 class TestIntegrateSingle:
@@ -153,12 +183,20 @@ class TestIntegrateComposite:
     def test_single_panel_reduces_to_single(self):
         jets = jet_provider(parse("exp(x)"))
         single = integrate_single(jets, 3, 0, 1)
-        composite = integrate_composite(jets, 3, Partition.uniform(0, 1, 1))
-        assert float(composite) == pytest.approx(float(single), rel=1e-15)
+        value = composite(jets, 3, Partition.uniform(0, 1, 1))
+        assert float(value) == pytest.approx(float(single), rel=1e-15)
+
+    def test_one_jet_per_node(self):
+        part = Partition.uniform(0, 1, 4)
+        jets = [jet_provider(parse("exp(x)"))(x, 2) for x in part.nodes]
+        for node_jets in (jets[:-1], jets + jets[:1], []):
+            with pytest.raises(ValueError, match=f"{len(node_jets)} node jets for a "
+                                                 "partition of 5 nodes"):
+                integrate_composite(node_jets, 3, part)
 
     def test_exp_four_panels(self):
         jets = jet_provider(parse("exp(x)"))
-        value = integrate_composite(jets, 2, Partition.uniform(0, 1, 4))
+        value = composite(jets, 2, Partition.uniform(0, 1, 4))
         assert abs(float(value) - (math.e - 1)) < 2e-5
         assert abs(float(value) - (math.e - 1)) > 1e-7
 
@@ -167,14 +205,14 @@ class TestIntegrateComposite:
         part = Partition(
             (Fraction(-1), Fraction(-1, 3), Fraction(1, 2), Fraction(6, 5))
         )
-        value = integrate_composite(poly_jets(p), 3, part)
+        value = composite(poly_jets(p), 3, part)
         assert value == p.integrate(Fraction(-1), Fraction(6, 5))
 
     def test_convergence_order(self):
         jets = jet_provider(parse("exp(x)"))
         for n in (1, 2, 3):
             errors = [
-                abs(float(integrate_composite(jets, n, Partition.uniform(0, 1, m))) - (math.e - 1))
+                abs(float(composite(jets, n, Partition.uniform(0, 1, m))) - (math.e - 1))
                 for m in (2, 4, 8, 16, 32)
             ]
             order = observed_orders(errors, (2, 4, 8, 16, 32))[-1]
@@ -211,7 +249,7 @@ class TestIntegrateComposite:
             return compute_weights(n, a, b)
 
         monkeypatch.setattr(quadrature, "compute_weights", spy)
-        integrate_composite(jet_provider(parse("exp(x)")), 3, Partition(nodes))
+        composite(jet_provider(parse("exp(x)")), 3, Partition(nodes))
         assert len(widths) == rules
 
     def test_uniform_step_gives_the_value_of_its_nodes(self, monkeypatch):
@@ -230,14 +268,14 @@ class TestIntegrateComposite:
             Partition(uniform.nodes, step / 2)
         with pytest.raises(TypeError):
             Partition(uniform.nodes, step=step / 2)
-        got = integrate_composite(jets, 4, uniform)
+        got = composite(jets, 4, uniform)
         assert widths == [step]
-        assert got.hex() == integrate_composite(jets, 4, Partition(uniform.nodes)).hex()
+        assert got.hex() == composite(jets, 4, Partition(uniform.nodes)).hex()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_float_jets_match_the_omega_formula_bit_for_bit(self, n):
         jets = jet_provider(parse("exp(0.5*x)*cos(2*x)+sqrt(2+x)"))
-        value = integrate_composite(jets, n, Partition(self.NODES))
+        value = composite(jets, n, Partition(self.NODES))
         assert value.hex() == self.omega_formula(jets, n, self.NODES).hex()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -247,7 +285,7 @@ class TestIntegrateComposite:
         panels = zip(self.NODES, self.NODES[1:])
         want = sum(apply_rule(compute_weights(n, a, b), jets(a, n - 1), jets(b, n - 1))
                    for a, b in panels)
-        got = integrate_composite(jets, n, Partition(self.NODES))
+        got = composite(jets, n, Partition(self.NODES))
         assert isinstance(got, Fraction)
         assert got == want
 
@@ -258,21 +296,21 @@ class TestIntegrateComposite:
             return tuple(int(p.derivative(j)(x)) for j in range(m + 1))
 
         nodes = (Fraction(-1), Fraction(0), Fraction(2), Fraction(3))
-        got = integrate_composite(jets, 3, Partition(nodes))
+        got = composite(jets, 3, Partition(nodes))
         assert isinstance(got, Fraction)
         assert got == p.integrate(-1, 3)
 
     def test_string_nodes_integrate_as_their_values(self):
         jets = jet_provider(parse("exp(x)"))
-        value = integrate_composite(jets, 2, Partition(("0", "1/3", "1/2")))
-        exact = integrate_composite(jets, 2, Partition((0, Fraction(1, 3), Fraction(1, 2))))
+        value = composite(jets, 2, Partition(("0", "1/3", "1/2")))
+        exact = composite(jets, 2, Partition((0, Fraction(1, 3), Fraction(1, 2))))
         assert value.hex() == exact.hex()
 
     def test_float_nodes_are_read_exactly(self):
         nodes = (0.0, 0.1, 0.30000000000000004, 1.0)
         jets = jet_provider(parse("exp(x)"))
-        value = integrate_composite(jets, 3, Partition(nodes))
-        exact = integrate_composite(jets, 3, Partition(tuple(Fraction(x) for x in nodes)))
+        value = composite(jets, 3, Partition(nodes))
+        exact = composite(jets, 3, Partition(tuple(Fraction(x) for x in nodes)))
         assert value.hex() == exact.hex()
 
 
@@ -581,9 +619,9 @@ class TestBatchSampling:
 class TestE2SpecificBounds:
     def test_f3_zero_for_quadratics(self):
         ks = kernel_set(2, 0, 1)
-        pair = e2_bound_f3([5.0] * 17, ks)
-        assert pair.uniform == 0.0
-        assert pair.l2 == pytest.approx(0.0, abs=1e-15)
+        uniform, l2 = e2_bound_f3([5.0] * 17, ks)
+        assert uniform == 0.0
+        assert l2 == pytest.approx(0.0, abs=1e-15)
 
     def test_f3_constants_on_unit_interval(self):
         # Unit-deviation constants: integral(|G|) = 1/192, ||G||_2 = 1/sqrt(30240).
@@ -600,11 +638,11 @@ class TestE2SpecificBounds:
         # f = x^4: f''' = 24x - 12, midrange deviation 12 -> 12/192 = 1/16.
         ks = kernel_set(2, 0, 1)
         samples = sample_uniform(lambda x: 24 * x - 12, 0, 1, 257)
-        pair = e2_bound_f3(samples, ks)
-        assert pair.uniform == pytest.approx(1 / 16, rel=1e-12)
-        assert pair.l2 == pytest.approx(math.sqrt(48 / 30240), rel=1e-3)
-        assert pair.uniform >= 1 / 30
-        assert pair.l2 >= 1 / 30
+        uniform, l2 = e2_bound_f3(samples, ks)
+        assert uniform == pytest.approx(1 / 16, rel=1e-12)
+        assert l2 == pytest.approx(math.sqrt(48 / 30240), rel=1e-3)
+        assert uniform >= 1 / 30
+        assert l2 >= 1 / 30
 
     def test_f3_requires_order_two(self):
         with pytest.raises(ValueError):
