@@ -21,7 +21,7 @@ from . import __version__
 from .exactmath import format_rational, parse_rational
 from .expressions import EvalDomainError, derivative_function, evaluator, jet_provider, parse
 from .kernel import RootIsolationError, kernel_set
-from .oracle import ConvergenceError, OracleConfig, reference_integrate
+from .oracle import ConvergenceError, reference_integrate
 from .quadrature import (
     ErrorReport,
     Partition,
@@ -68,10 +68,10 @@ def _parse_panel_counts(text: str) -> list:
     return counts
 
 
-def _oracle_config(tol: float) -> OracleConfig:
+def _check_tol(tol: float) -> float:
     if not 0 < tol < math.inf:
         raise ValueError("--tol must be finite and positive")
-    return OracleConfig(tol=tol)
+    return tol
 
 
 def _emit_csv(reports):
@@ -136,7 +136,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _float_path_inputs(args):
-    """Interval, parsed integrand and reference settings of a --fn subcommand."""
+    """Interval, parsed integrand and reference tolerance of a --fn subcommand."""
     a = _parse_endpoint(args.a, allow_pi=True)
     b = _parse_endpoint(args.b, allow_pi=True)
     if a >= b:
@@ -147,12 +147,12 @@ def _float_path_inputs(args):
         raise ValueError("endpoints must lie within the double range") from None
     if lo == hi:
         raise ValueError(f"endpoints must be distinct doubles; both round to {lo!r}")
-    return a, b, parse(args.fn), _oracle_config(args.tol)
+    return a, b, parse(args.fn), _check_tol(args.tol)
 
 
-def _converged_reference(expr, a, b, cfg):
+def _converged_reference(expr, a, b, tol):
     """The reference integral of expr over [a, b]; ConvergenceError unless it converged."""
-    reference = reference_integrate(evaluator(expr), float(a), float(b), cfg)
+    reference = reference_integrate(evaluator(expr), float(a), float(b), tol)
     if not reference.converged:
         raise ConvergenceError("reference integral did not converge", reference)
     return reference
@@ -160,7 +160,7 @@ def _converged_reference(expr, a, b, cfg):
 
 def _cmd_single(args) -> int:
     """``integrate`` and ``bounds``: one interval, one ErrorReport."""
-    a, b, expr, cfg = _float_path_inputs(args)
+    a, b, expr, tol = _float_path_inputs(args)
     n = args.n
     order = 0
     if args.command == "bounds":
@@ -171,7 +171,7 @@ def _cmd_single(args) -> int:
                 f"use {n}..{2 * n}"
             )
     value = float(integrate_single(jet_provider(expr), n, a, b))
-    reference = _converged_reference(expr, a, b, cfg)
+    reference = _converged_reference(expr, a, b, tol)
     uniform = l2 = stable = error_via = None
     if order:
         ks = kernel_set(n, a, b)
@@ -179,7 +179,7 @@ def _cmd_single(args) -> int:
         if order < 2 * n:
             uniform, l2, stable = refined_bounds(f_deriv, ks, k=order - n)
         else:
-            error_via = error_exact(f_deriv, ks, cfg, k=n)
+            error_via = error_exact(f_deriv, ks, tol, k=n)
     report = ErrorReport(
         quadrature_value=value,
         reference_value=reference.value,
@@ -217,10 +217,10 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_composite(args) -> int:
-    a, b, expr, cfg = _float_path_inputs(args)
+    a, b, expr, tol = _float_path_inputs(args)
     counts = _parse_panel_counts(args.m)
     _check_order(args.n)
-    reference = _converged_reference(expr, a, b, cfg)
+    reference = _converged_reference(expr, a, b, tol)
     # Rows share nodes (m and 2m panels share m + 1), and a jet reads its
     # node only as a double, so one ``many`` call builds the jet of each
     # distinct double; node t / den is float(Fraction(t, den)), since
@@ -282,7 +282,7 @@ def _cmd_verify(args) -> int:
 def _cmd_demo(args) -> int:
     expr = parse("x^2*sin(x)")
     a, b = 0.0, math.pi
-    reference = reference_integrate(evaluator(expr), a, b, OracleConfig(tol=1e-13))
+    reference = reference_integrate(evaluator(expr), a, b, 1e-13)
     jets = jet_provider(expr)
     trapezoid = float(integrate_single(jets, 1, a, b))
     hermite = float(integrate_single(jets, 2, a, b))

@@ -13,7 +13,10 @@ rule gives closed forms in the endpoint jets:
 
 and A_k the same with a and b swapped (so with powers of a-b).
 
-All arithmetic is exact; float jet entries are converted to rationals via
+``build_hermite(a, b, jet_a, jet_b)`` takes the interval and the two
+endpoint jets; ``leibniz_coeffs`` forms one endpoint's A_k or B_k from
+its jets and its signed distance to the other endpoint.  All
+arithmetic is exact; float jet entries are converted to rationals via
 their exact binary expansion, so the returned polynomial reproduces the
 given jets bit-for-bit.
 """
@@ -21,43 +24,17 @@ given jets bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import Polynomial, rational
+from .exactmath import Polynomial, rational, rational_interval
 
-__all__ = ["JetPair", "leibniz_coeffs", "build_hermite"]
-
-
-@dataclass(frozen=True)
-class JetPair:
-    """Derivatives 0..n-1 of an integrand at the two endpoints of [a, b]."""
-
-    a: Fraction
-    b: Fraction
-    jet_a: tuple
-    jet_b: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", rational(self.a))
-        object.__setattr__(self, "b", rational(self.b))
-        object.__setattr__(self, "jet_a", tuple(self.jet_a))
-        object.__setattr__(self, "jet_b", tuple(self.jet_b))
-        if len(self.jet_a) != len(self.jet_b):
-            raise ValueError("endpoint jets must have equal length")
-        if not self.jet_a:
-            raise ValueError("jets must carry at least the function value")
-        if self.a == self.b:
-            raise ValueError("endpoints must be distinct")
-
-    @property
-    def order(self) -> int:
-        """Number of matched derivatives per endpoint (n)."""
-        return len(self.jet_a)
+__all__ = ["leibniz_coeffs", "build_hermite"]
 
 
-def leibniz_coeffs(side: str, pair: JetPair) -> tuple:
-    """The coefficients A_0..A_{n-1} (side "a") or B_0..B_{n-1} (side "b").
+def leibniz_coeffs(jets, base) -> tuple:
+    """The coefficients A_0..A_{n-1} (jets at a, base = a - b) or B_0..B_{n-1}
+    (jets at b, base = b - a): one endpoint's jets and its signed distance
+    to the other endpoint.
 
     Exact for rational jets; float jets are converted exactly first.  With
     base = p/q and the jets over one denominator S as R_j / S, each B_k is
@@ -65,15 +42,8 @@ def leibniz_coeffs(side: str, pair: JetPair) -> tuple:
 
         B_k = sum_j C(k,j) R_j p^j (-1)^(k-j) (n+k-j-1)!/(n-1)! q^(n+k-j) / (S p^(n+k))
     """
-    if side not in ("a", "b"):
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    n = pair.order
-    if side == "a":
-        jets = [rational(v) for v in pair.jet_a]
-        base = pair.a - pair.b
-    else:
-        jets = [rational(v) for v in pair.jet_b]
-        base = pair.b - pair.a
+    jets = [rational(v) for v in jets]
+    n = len(jets)
     p, q = base.numerator, base.denominator
     den = math.lcm(*(v.denominator for v in jets))
     # jet[j] = R_j p^j and tail[m] = (-1)^m (n+m-1)!/(n-1)! q^(n+m).
@@ -88,18 +58,25 @@ def leibniz_coeffs(side: str, pair: JetPair) -> tuple:
     )
 
 
-def build_hermite(pair: JetPair) -> Polynomial:
-    """The degree <= 2n-1 polynomial matching both endpoint jets exactly."""
-    if pair.a >= pair.b:
-        raise ValueError("endpoints must satisfy a < b")
-    n = pair.order
+def build_hermite(a, b, jet_a, jet_b) -> Polynomial:
+    """The degree <= 2n-1 polynomial matching f, f', ..., f^(n-1) at a and at b.
+
+    ``jet_a`` and ``jet_b`` hold the n derivatives at each endpoint; they
+    must have the same length, at least 1, and a < b.
+    """
+    a, b = rational_interval(a, b)
+    if len(jet_a) != len(jet_b):
+        raise ValueError("endpoint jets must have equal length")
+    if not jet_a:
+        raise ValueError("jets must carry at least the function value")
+    n = len(jet_a)
     # sum_a = sum_k A_k (x-a)^k / k!: the Taylor polynomial in t, shifted to t = x - a.
     sum_a, sum_b = (
         Polynomial(
-            c / math.factorial(k) for k, c in enumerate(leibniz_coeffs(side, pair))
+            c / math.factorial(k) for k, c in enumerate(leibniz_coeffs(jets, point - other))
         ).compose_affine(-point, 1)
-        for side, point in (("a", pair.a), ("b", pair.b))
+        for jets, point, other in ((jet_a, a, b), (jet_b, b, a))
     )
-    result = Polynomial((-pair.a, 1)) ** n * sum_b + Polynomial((-pair.b, 1)) ** n * sum_a
+    result = Polynomial((-a, 1)) ** n * sum_b + Polynomial((-b, 1)) ** n * sum_a
     assert result.degree <= 2 * n - 1
     return result

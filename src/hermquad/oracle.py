@@ -17,8 +17,9 @@ and the panel width is charged to the error estimate.  A panel with no
 finite sample at all, or whose finite samples overflow the rule sums, is
 not split: its error estimate is infinite, so the result is unconverged.
 
-``OracleConfig.tol`` is the one setting: a result is converged when its
-error estimate is at most tol * max(1, |value|) and its value is finite.
+``reference_integrate``'s ``tol`` is the one setting: a result is
+converged when its error estimate is at most tol * max(1, |value|) and
+its value is finite.
 Bisection stops at depth ``_MAX_DEPTH``.  Once ``_PANEL_BUDGET`` panels
 have been evaluated no panel is split any more, and the result is
 unconverged whatever its error estimate, so an integrand the bisection
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "OracleConfig",
     "IntegralResult",
     "ConvergenceError",
     "reference_integrate",
@@ -77,13 +77,8 @@ _MAX_DEPTH = 48
 _PANEL_BUDGET = 1 << 14
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
+#: The tolerance of ``reference_integrate`` and the error integrals when none is given.
+_DEFAULT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -210,16 +205,17 @@ def _refine(f, a: float, b: float, tol: float):
     return done[0]
 
 
-def reference_integrate(f, a, b, cfg: OracleConfig | None = None) -> IntegralResult:
-    """Adaptively integrate ``f`` over [a, b].
+def reference_integrate(f, a, b, tol: float = _DEFAULT_TOL) -> IntegralResult:
+    """Adaptively integrate ``f`` over [a, b] to the tolerance ``tol``.
 
     Returns the value with an error estimate; ``converged`` is False when
     the value is not finite, the panel budget is spent, or the estimate
     still exceeds tol * max(1, |value|) after the depth limit.  Reversed
-    limits negate the result; empty intervals give 0.
+    limits negate the result; empty intervals give 0.  A ``tol`` that is
+    not finite and positive raises ValueError before f is sampled.
     """
-    if cfg is None:
-        cfg = OracleConfig()
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     a = float(a)
     b = float(b)
     if a == b:
@@ -228,7 +224,7 @@ def reference_integrate(f, a, b, cfg: OracleConfig | None = None) -> IntegralRes
     if a > b:
         a, b = b, a
         sign = -1.0
-    value, err, panels = _refine(f, a, b, cfg.tol)
-    within_tol = err <= cfg.tol * max(1.0, abs(value))
+    value, err, panels = _refine(f, a, b, tol)
+    within_tol = err <= tol * max(1.0, abs(value))
     converged = panels < _PANEL_BUDGET and math.isfinite(value) and within_tol
     return IntegralResult(sign * value, err, converged, panels)

@@ -27,7 +27,7 @@ from typing import ClassVar
 
 from .exactmath import rational
 from .kernel import KernelSet, kernel_set
-from .oracle import ConvergenceError, OracleConfig, reference_integrate
+from .oracle import _DEFAULT_TOL, ConvergenceError, reference_integrate
 from .weights import apply_rule, compute_weights
 
 __all__ = [
@@ -189,15 +189,16 @@ def integrate_composite(node_jets, n: int, partition: Partition):
 
     Each width is the exact difference of two ticks over ``den``, so the
     value depends on the nodes alone.  Consecutive panels of equal width
-    share one rule, and only a new width becomes a ``Fraction``.  When
-    every jet entry is a float, each rule's weights are rounded to doubles
-    once, which is what ``Fraction * float`` would do on every panel; other
-    jets keep the exact weights.
+    share one rule, and only a new width becomes a ``Fraction``.  A table's
+    jets come from one source, so its first value decides for the whole
+    table, a mixed one too: when it is a float, each rule's weights are
+    rounded to doubles once, which is what ``Fraction * float`` would do
+    on every panel; otherwise the weights stay exact.
     """
     den, ticks = partition.den, partition.ticks
     if len(node_jets) != len(ticks):
         raise ValueError(f"{len(node_jets)} node jets for a partition of {len(ticks)} nodes")
-    floats = all(isinstance(v, float) for jet in node_jets for v in jet[:n])
+    floats = isinstance(node_jets[0][0], float)
     width = None
     total = 0
     for t0, t1, left, right in zip(ticks, ticks[1:], node_jets, node_jets[1:]):
@@ -210,9 +211,7 @@ def integrate_composite(node_jets, n: int, partition: Partition):
     return total
 
 
-def error_exact(
-    f_n, kernel: KernelSet, cfg: OracleConfig | None = None, k: int = 0
-) -> float:
+def error_exact(f_n, kernel: KernelSet, tol: float = _DEFAULT_TOL, k: int = 0) -> float:
     """The exact error integral E_n = integral((-1)^(n+k) f^(n+k)(x) K^(k)(x)).
 
     E_n is the signed defect of the rule: true integral = rule value + E_n.
@@ -220,14 +219,14 @@ def error_exact(
     same E_n: each K^(j) with j <= n vanishes at a and b, so the k
     integrations by parts leave no boundary terms.  Raises
     :class:`~hermquad.oracle.ConvergenceError` if the reference integrator
-    cannot meet its tolerance.
+    cannot meet ``tol``.
 
     When ``f_n`` has a ``many`` attribute (as ``derivative_function``
     gives it), the integrand has one too, so the reference samples f^(n+k)
     a batch of points at a time.  Each value is the scalar integrand's,
-    sign * f^(n+k)(x) * K^(k)(x); when the batch raises a domain error,
-    the points run one at a time, so the error is the one the scalar
-    integrand raises.
+    sign * f^(n+k)(x) * K^(k)(x).  K^(k)'s coefficients are rounded before
+    any sample, so only f^(n+k) can fail at a point, and ``many`` raises
+    the first failing point's error, as the scalar integrand does.
     """
     sign = -1.0 if (kernel.n + k) % 2 else 1.0
     kern = kernel.float_member(k)
@@ -237,15 +236,8 @@ def error_exact(
 
     many = getattr(f_n, "many", None)
     if many is not None:
-        def batch(xs):
-            try:
-                values = many(xs)
-            except ValueError:  # a domain error; K^(k) may fail before its point does
-                return [integrand(x) for x in xs]
-            return [sign * v * kern(x) for v, x in zip(values, xs)]
-
-        integrand.many = batch
-    result = reference_integrate(integrand, float(kernel.a), float(kernel.b), cfg)
+        integrand.many = lambda xs: [sign * v * kern(x) for v, x in zip(many(xs), xs)]
+    result = reference_integrate(integrand, float(kernel.a), float(kernel.b), tol)
     if not result.converged:
         raise ConvergenceError("error integral did not converge", result)
     return result.value
@@ -318,13 +310,13 @@ def e2_bound_f3(f3_samples, kernel: KernelSet) -> tuple:
     return bound_uniform(f3_samples, kernel, k=1), bound_l2(f3_samples, kernel, k=1)
 
 
-def e2_classical_f4(f4, a, b, cfg: OracleConfig | None = None) -> float:
+def e2_classical_f4(f4, a, b, tol: float = _DEFAULT_TOL) -> float:
     """E_2 through the fourth derivative: ``error_exact`` with n = 2, k = 2.
 
     The weight K^(2) = (x-a)^2 (x-b)^2 / 24 is nonnegative, so for constant
     f'''' = c this equals c (b-a)^5 / 720.
     """
-    return error_exact(f4, kernel_set(2, a, b), cfg, k=2)
+    return error_exact(f4, kernel_set(2, a, b), tol, k=2)
 
 
 def sample_uniform(f, a, b, count: int = 257) -> list:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import Polynomial, X, rational, rational_interval
-from .interpolant import JetPair, build_hermite
+from .interpolant import build_hermite
 from .kernel import (
     antiderivative_chain,
     kernel_from_params,
@@ -121,8 +121,8 @@ def run_checks(n: int, a=0, b=1) -> list:
     zero = (0,) * n
     units = [zero[:j] + (1,) + zero[j + 1:] for j in range(n)]
     cardinal = (
-        tuple(build_hermite(JetPair(a, b, e, zero)).integrate(a, b) for e in units),
-        tuple(build_hermite(JetPair(a, b, zero, e)).integrate(a, b) for e in units),
+        tuple(build_hermite(a, b, e, zero).integrate(a, b) for e in units),
+        tuple(build_hermite(a, b, zero, e).integrate(a, b) for e in units),
     )
     checks.append(
         Check("interpolant integral equals the weighted rule", cardinal == (rule.w_a, rule.w_b))

@@ -19,7 +19,6 @@ from hermquad.expressions import (
     jet_provider,
     parse,
 )
-from hermquad.interpolant import JetPair, build_hermite
 from hermquad.kernel import (
     antiderivative_chain,
     kernel_abs_integral,
@@ -30,7 +29,7 @@ from hermquad.kernel import (
     rodrigues_kernel,
     solve_params,
 )
-from hermquad.oracle import OracleConfig, reference_integrate
+from hermquad.oracle import reference_integrate
 from hermquad.quadrature import (
     Partition,
     bound_l2,
@@ -46,7 +45,7 @@ from hermquad.weights import apply_rule, compute_weights
 
 from conftest import monomial_jets
 
-TIGHT = OracleConfig(tol=1e-12)
+TIGHT = 1e-12
 
 CORPUS = ("exp(x)", "sin(x)", "x^2*sin(x)", "1/(1+x^2)")
 
@@ -217,11 +216,9 @@ def test_09_mild_regularity_log_kink():
 
     jets = lambda x, m: (f(float(x)),)
     quadrature = float(integrate_single(jets, 1, 0, 1))
-    reference = reference_integrate(f, 0.0, 1.0, OracleConfig(tol=1e-11))
+    reference = reference_integrate(f, 0.0, 1.0, 1e-11)
     assert reference.converged
-    via_kernel = error_exact(
-        fprime, kernel_set(1, 0, 1), OracleConfig(tol=1e-10)
-    )
+    via_kernel = error_exact(fprime, kernel_set(1, 0, 1), 1e-10)
     assert abs((reference.value - quadrature) - via_kernel) <= 1e-6
     report(9, "integral(f' K_1) matches reference - quadrature despite unbounded f''")
 

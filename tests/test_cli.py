@@ -454,17 +454,17 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_interpolant_is_built_once_per_unit_jet(self, monkeypatch, n):
-        pairs = []
+        calls = []
         real = verify.build_hermite
 
-        def spy(pair):
-            pairs.append(pair)
-            return real(pair)
+        def spy(a, b, jet_a, jet_b):
+            calls.append((jet_a, jet_b))
+            return real(a, b, jet_a, jet_b)
 
         monkeypatch.setattr(verify, "build_hermite", spy)
         assert all(check.passed for check in verify.run_checks(n, "-2/3", "5/4"))
-        assert len(pairs) == 2 * n
-        entries = [pair.jet_a + pair.jet_b for pair in pairs]
+        assert len(calls) == 2 * n
+        entries = [tuple(jet_a) + tuple(jet_b) for jet_a, jet_b in calls]
         assert all(sum(v != 0 for v in jets) == 1 for jets in entries)
         assert sorted(jets.index(1) for jets in entries) == list(range(2 * n))
 
@@ -473,8 +473,9 @@ class TestVerifyCommand:
         real = verify.build_hermite
         unit = tuple(int(i == j) for i in range(3))
 
-        def off_at_one_jet(pair):
-            return real(pair) + int(getattr(pair, f"jet_{side}") == unit)
+        def off_at_one_jet(a, b, jet_a, jet_b):
+            jet = jet_a if side == "a" else jet_b
+            return real(a, b, jet_a, jet_b) + int(tuple(jet) == unit)
 
         monkeypatch.setattr(verify, "build_hermite", off_at_one_jet)
         failed = [check.name for check in verify.run_checks(3, "-2/3", "5/4") if not check.passed]

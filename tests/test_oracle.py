@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from hermquad import oracle
 from hermquad.exactmath import Polynomial
 from hermquad.expressions import EvalDomainError, evaluator, parse
-from hermquad.oracle import OracleConfig, _panel, reference_integrate
+from hermquad.oracle import _panel, reference_integrate
 
 from conftest import coeff_lists, intervals
 
@@ -34,7 +33,7 @@ class TestEmbeddedPair:
             lambda x: 1.0 / (1.0 + 25.0 * x * x),
             -1.0,
             1.0,
-            OracleConfig(tol=1e-30),
+            1e-30,
         )
         assert not res.converged
         assert res.value == pytest.approx(2.0 / 5.0 * math.atan(5.0), rel=1e-13)
@@ -45,7 +44,7 @@ class TestReferenceIntegrate:
     def test_x2_sinx(self):
         res = reference_integrate(
             lambda x: x * x * math.sin(x), 0.0, math.pi,
-            OracleConfig(tol=1e-13),
+            1e-13,
         )
         assert res.converged
         assert res.value == pytest.approx(math.pi ** 2 - 4, abs=1e-12)
@@ -87,10 +86,8 @@ class TestReferenceIntegrate:
         ],
     )
     def test_self_consistency_under_tightening(self, f, a, b):
-        loose_cfg = OracleConfig(tol=1e-8)
-        tight_cfg = OracleConfig(tol=1e-9)
-        loose = reference_integrate(f, a, b, loose_cfg)
-        tight = reference_integrate(f, a, b, tight_cfg)
+        loose = reference_integrate(f, a, b, 1e-8)
+        tight = reference_integrate(f, a, b, 1e-9)
         assert loose.converged and tight.converged
         assert abs(loose.value - tight.value) <= max(loose.err_estimate, 1e-15)
 
@@ -99,7 +96,7 @@ class TestReferenceIntegrate:
         def f(x):
             return math.log(abs(x - 0.5)) if x != 0.5 else float("-inf")
 
-        res = reference_integrate(f, 0.0, 1.0, OracleConfig(tol=1e-9))
+        res = reference_integrate(f, 0.0, 1.0, 1e-9)
         assert res.converged
         assert res.value == pytest.approx(-math.log(2) - 1, abs=1e-8)
 
@@ -108,7 +105,7 @@ class TestReferenceIntegrate:
             return math.log(abs(x - 0.5)) if x != 0.5 else float("-inf")
 
         monkeypatch.setattr(oracle, "_MAX_DEPTH", 3)
-        res = reference_integrate(f, 0.0, 1.0, OracleConfig(tol=1e-13))
+        res = reference_integrate(f, 0.0, 1.0, 1e-13)
         assert not res.converged
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -182,17 +179,31 @@ class TestReferenceIntegrate:
         assert (cut.converged, cut.panels) == (False, 9)
 
     def test_config_validation(self):
-        assert [f.name for f in dataclasses.fields(OracleConfig)] == ["tol"]
-        assert OracleConfig().tol == 1e-12
-        with pytest.raises(ValueError):
-            OracleConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            OracleConfig(tol=-1e-10)
+        f = lambda x: 1.0 / (1.0 + 25.0 * x * x)
+        default = reference_integrate(f, -1.0, 1.0)
+        explicit = reference_integrate(f, -1.0, 1.0, 1e-12)
+        assert default == explicit
+        assert (default.value.hex(), default.err_estimate.hex()) == (
+            explicit.value.hex(), explicit.err_estimate.hex())
+        for tol in (0.0, -1e-10):
+            self.assert_rejected_before_sampling(tol)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerances_are_rejected(self, tol):
-        with pytest.raises(ValueError, match="finite and positive"):
-            OracleConfig(tol=tol)
+        self.assert_rejected_before_sampling(tol)
+
+    @staticmethod
+    def assert_rejected_before_sampling(tol):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x
+
+        for a, b in ((0.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                reference_integrate(f, a, b, tol)
+        assert calls == []
 
 
 def loop_panel(f, lo, hi):

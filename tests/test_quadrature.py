@@ -10,7 +10,7 @@ from hermquad import kernel, quadrature
 from hermquad.exactmath import Polynomial, X
 from hermquad.expressions import EvalDomainError, derivative_function, evaluator, jet_provider, parse
 from hermquad.kernel import kernel_set
-from hermquad.oracle import OracleConfig, reference_integrate
+from hermquad.oracle import reference_integrate
 from hermquad.quadrature import (
     ErrorReport,
     Partition,
@@ -29,7 +29,7 @@ from hermquad.weights import apply_rule, compute_weights, omega_coeffs
 
 from conftest import monomial_jets
 
-TIGHT = OracleConfig(tol=1e-13)
+TIGHT = 1e-13
 
 CORPUS = ("exp(x)", "sin(x)", "x^2*sin(x)", "1/(1+x^2)")
 
@@ -289,6 +289,28 @@ class TestIntegrateComposite:
         assert isinstance(got, Fraction)
         assert got == want
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_a_mixed_table_follows_its_first_value(self, n):
+        part = Partition(self.NODES)
+        jets = jet_provider(parse("exp(0.5*x)*cos(2*x)+sqrt(2+x)"))
+        floats = [jets(x, n - 1) for x in part.nodes]
+        exact = [tuple(map(Fraction, jet)) for jet in floats]
+        all_floats = integrate_composite(floats, n, part)
+        # A float first value rounds the weights for the whole table: the
+        # exact entries that follow give the all-float value bit for bit.
+        got = integrate_composite(floats[:1] + exact[1:], n, part)
+        assert got.hex() == all_floats.hex()
+        # An exact first value keeps the exact weights: the panels before the
+        # float last node sum exactly, and the result is rounded from there.
+        got = integrate_composite(exact[:-1] + floats[-1:], n, part)
+        prefix = integrate_composite(exact[:-1], n, Partition(self.NODES[:-1]))
+        assert isinstance(prefix, Fraction)
+        left, right = exact[-2], floats[-1]
+        want = prefix
+        for j, w in enumerate(compute_weights(n, 0, self.NODES[-1] - self.NODES[-2]).w_a):
+            want += w * (left[j] - right[j] if j & 1 else left[j] + right[j])
+        assert got.hex() == want.hex()
+
     def test_integer_jets_keep_the_exact_weights(self):
         p = Polynomial((1, -2, 3, 0, 5))
 
@@ -364,11 +386,9 @@ class TestMildRegularity:
         f, fprime = make_kink(0.5)
         jets = lambda x, m: (f(float(x)),)
         quad = float(integrate_single(jets, 1, 0, 1))
-        ref = reference_integrate(f, 0.0, 1.0, OracleConfig(tol=1e-11))
+        ref = reference_integrate(f, 0.0, 1.0, 1e-11)
         assert ref.converged
-        exact = error_exact(
-            fprime, kernel_set(1, 0, 1), OracleConfig(tol=1e-10)
-        )
+        exact = error_exact(fprime, kernel_set(1, 0, 1), 1e-10)
         assert (ref.value - quad) == pytest.approx(exact, abs=1e-6)
 
     def test_off_center_log_kink(self):
@@ -377,11 +397,9 @@ class TestMildRegularity:
         f, fprime = make_kink(1.0 / 3.0)
         jets = lambda x, m: (f(float(x)),)
         quad = float(integrate_single(jets, 1, 0, 1))
-        ref = reference_integrate(f, 0.0, 1.0, OracleConfig(tol=1e-11))
+        ref = reference_integrate(f, 0.0, 1.0, 1e-11)
         assert ref.converged
-        exact = error_exact(
-            fprime, kernel_set(1, 0, 1), OracleConfig(tol=1e-10)
-        )
+        exact = error_exact(fprime, kernel_set(1, 0, 1), 1e-10)
         assert abs(exact) > 1e-3
         assert (ref.value - quad) == pytest.approx(exact, abs=1e-6)
 
@@ -614,6 +632,18 @@ class TestBatchSampling:
         for f in (f2, lambda x: f2(x)):
             with pytest.raises(OverflowError):
                 error_exact(f, ks, k=1)
+
+    def test_error_exact_raises_the_domain_error_of_a_point_inside(self):
+        # f^(4) of log(x - 1/4) fails left of 1/4, inside [0, 1], while the
+        # first panel's center passes.
+        f = derivative_function(parse("log(x - 0.25)"), 4)
+        ks = kernel_set(2, 0, 1)
+        raised = []
+        for g in (f, lambda x: f(x)):
+            with pytest.raises(EvalDomainError) as info:
+                error_exact(g, ks, TIGHT, 2)
+            raised.append(str(info.value))
+        assert raised == ["log of a non-positive value in 'log((x - 0.25))'"] * 2
 
 
 class TestE2SpecificBounds:

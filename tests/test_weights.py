@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermquad.exactmath import Polynomial, X, parse_rational
-from hermquad.interpolant import JetPair, build_hermite
+from hermquad.interpolant import build_hermite
 from hermquad.weights import HermiteRule, apply_rule, compute_weights, omega_coeffs
 
 from conftest import coeff_lists, intervals, monomial_jets
@@ -36,10 +36,8 @@ class TestComputeWeights:
                 jet = [Fraction(0)] * n
                 jet[j] = Fraction(1)
                 zero = [Fraction(0)] * n
-                pair = (
-                    JetPair(0, 1, jet, zero) if side == "a" else JetPair(0, 1, zero, jet)
-                )
-                weight = build_hermite(pair).integrate(0, 1)
+                jets = (jet, zero) if side == "a" else (zero, jet)
+                weight = build_hermite(0, 1, *jets).integrate(0, 1)
                 expected = rule.w_a[j] if side == "a" else rule.w_b[j]
                 assert weight == expected
 
